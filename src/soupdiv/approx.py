@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .core import DomainError, InputError, PMPattern, SignSeq, require_unit_open
+from .core import DomainError, InputError, PMPattern, SignSeq, bisect_root, require_unit_open
 
 # Additive slack on every certificate inequality; double precision cannot
 # certify exact-real inequalities tighter than this at unit scale.
@@ -88,21 +88,13 @@ def q_infinity(tol: float = 1e-12) -> float:
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol!r}")
     lo, hi = _QINF_BRACKET
-    f_lo = qinf_poly(lo)
-    if not (f_lo < 0.0 < qinf_poly(hi)):
+    if not (qinf_poly(lo) < 0.0 < qinf_poly(hi)):
         raise RuntimeError("sign bracket for the threshold quartic is broken")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = qinf_poly(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return bisect_root(qinf_poly, lo, hi, tol)
+
+
+# The threshold itself, computed once at import.
+Q_INF = q_infinity(1e-12)
 
 
 def covering_ratio(q: float) -> float:

@@ -42,7 +42,7 @@ from .core import (
 )
 from .greedy import Condition1Error, geometric_fair_division
 from .periodic import min_period_search
-from .sim import classify, simulate, write_trace_csv
+from .sim import FeasibilityKind, classify, simulate, write_trace_csv
 
 
 def _round_floats(obj: Any) -> Any:
@@ -173,7 +173,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         )
         line = f"{result.kind.value} (q={_txt(args.q)}" + (f", {extras}" if extras else "") + ")\n"
         _emit(line, args.out)
-    return 0 if result.kind.value in ("BoundedFairGreedy", "BoundedFairCertificate", "PeriodicFair") else 1
+    return 1 if result.kind in (FeasibilityKind.INFEASIBLE, FeasibilityKind.UNKNOWN) else 0
 
 
 def _cmd_greedy(args: argparse.Namespace) -> int:

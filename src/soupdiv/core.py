@@ -20,7 +20,7 @@ declared absolute tolerance", 1e-12 by default (`EvalOptions.zero_tol`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 DEFAULT_ZERO_TOL = 1e-12
 
@@ -198,3 +198,26 @@ def geometric_tail(q: float, k: int) -> float:
     if k < 0:
         raise InputError(f"k must be a nonnegative integer, got {k!r}")
     return q ** (k + 1) / (1.0 - q)
+
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Root of f in the sign bracket [lo, hi] by bisection to width <= tol.
+
+    An exact zero at ``lo`` or at a midpoint is returned as is; otherwise the
+    result is the midpoint of the final bracket.
+    """
+    f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval below float resolution
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)

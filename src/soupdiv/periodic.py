@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import (
     EvalOptions,
@@ -25,6 +25,7 @@ from .core import (
     PMPattern,
     Signs,
     as_signs,
+    bisect_root,
     eval_pm,
     require_unit_open,
     signs_to_text,
@@ -94,27 +95,6 @@ def enumerate_balanced(n: int) -> Iterator[PMPattern]:
         yield PMPattern(tuple(signs))
 
 
-def _bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    tol: float,
-) -> float:
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval below float resolution
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
 def pattern_roots(
     pattern: PMPattern,
     grid: int = DEFAULT_GRID,
@@ -145,7 +125,7 @@ def pattern_roots(
         if values[j] == 0.0:
             found.append(xs[j])
         elif j < grid and values[j + 1] != 0.0 and (values[j] < 0.0) != (values[j + 1] < 0.0):
-            found.append(_bisect_root(f, xs[j], xs[j + 1], values[j], root_tol))
+            found.append(bisect_root(f, xs[j], xs[j + 1], root_tol))
 
     found.sort()
     roots: list[float] = []

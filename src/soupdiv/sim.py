@@ -12,8 +12,10 @@ Verdicts of :func:`fairness_report` are observational statements about the
 finite trace, never proofs about the limit. Likewise :func:`classify` is
 threshold-driven: below 1/2 no fair division exists, above 1/sqrt(2) the
 greedy pairing works, above the quartic threshold (about 0.5845751) a
-covering certificate works, and in the remaining window only a periodic
-root search is attempted before honestly answering Unknown.
+covering certificate works. In the remaining window it asks one question
+per balanced pattern, in order of degree: does the pattern change sign
+within 1e-9 of q? Only the first such bracket is bisected; without one the
+answer is honestly Unknown.
 """
 
 from __future__ import annotations
@@ -24,15 +26,17 @@ from dataclasses import dataclass
 from typing import Callable, IO, Optional, Union
 
 from .approx import (
+    Q_INF,
     Certificate,
     CertificateFailure,
     FairDivisionPlan,
     auto_certificate,
-    q_infinity,
 )
-from .core import InputError, Signs, as_signs, geometric_tail, require_unit_open
+from .core import (
+    InputError, Signs, as_signs, bisect_root, eval_pm, geometric_tail, require_unit_open
+)
 from .greedy import INV_SQRT2
-from .periodic import PMPattern, enumerate_balanced, pattern_roots
+from .periodic import DEFAULT_ROOT_TOL, PMPattern, enumerate_balanced
 
 PERIODIC_ROOT_MATCH_TOL = 1e-9
 
@@ -156,8 +160,8 @@ def fairness_report(
 ) -> FairnessReport:
     """Aggregate trace extrema and compare against the supplied bounds.
 
-    BoundedFairObserved needs both an envelope and a cap, satisfied at the
-    last enveloped scoop and over all scoops respectively. Envelope
+    BoundedFairObserved needs both an envelope and a cap, satisfied at every
+    enveloped scoop and over all scoops respectively. Envelope
     comparisons carry the trace's floating-point budget (k * 1e-15 after k
     scoops): theoretical bounds decay below the double-precision noise floor
     long before the trace ends. A final sign-sum imbalance covering at least
@@ -169,17 +173,18 @@ def fairness_report(
     max_abs1 = max(abs(row.imbalance1) for row in trace.rows)
     final2 = trace.final.imbalance2
     pairs: list[tuple[int, float]] = []
-    enveloped_ok: Optional[bool] = None
+    enveloped_ok = True
     if envelope is not None:
         for row in trace.rows:
             bound = envelope(row.index)
             if bound is not None:
                 pairs.append((row.index, bound))
-                enveloped_ok = abs(row.imbalance2) <= bound + row.index * 1e-15
+                enveloped_ok = enveloped_ok and abs(row.imbalance2) <= bound + row.index * 1e-15
     if 2 * abs(trace.final.imbalance1) >= len(trace.rows):
         verdict = Verdict.DIVERGING
     elif (
-        enveloped_ok is True
+        pairs
+        and enveloped_ok
         and imbalance1_cap is not None
         and max_abs1 <= imbalance1_cap
     ):
@@ -213,25 +218,16 @@ class FeasibilityClass:
     searched_degree: Optional[int] = None
 
 
-_Q_INF: Optional[float] = None
-
-
-def _q_inf() -> float:
-    global _Q_INF
-    if _Q_INF is None:
-        _Q_INF = q_infinity(1e-12)
-    return _Q_INF
-
-
 def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     """Place q into the known feasibility regimes.
 
     q <= 1/2 is infeasible with witness gap q - sum_{i>=2} q^i >= 0; above
     1/sqrt(2) the greedy pairing applies; above the quartic threshold the
     covering certificate applies (the auto-certificate outcome is attached
-    as the witness). In the open window a periodic root search up to
-    ``search_degree`` may find an exact match, otherwise the answer is
-    Unknown, which must not be strengthened.
+    as the witness). In the open window every balanced pattern of degree
+    <= ``search_degree`` is tested for a sign change on q +- 1e-9; the first
+    hit is bisected and returned as a periodic match, otherwise the answer
+    is Unknown, which must not be strengthened.
     """
     require_unit_open(q)
     if search_degree < 2 or search_degree % 2 != 0:
@@ -245,18 +241,20 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
         return FeasibilityClass(
             kind=FeasibilityKind.BOUNDED_FAIR_GREEDY, threshold=INV_SQRT2
         )
-    if q > _q_inf():
+    if q > Q_INF:
         return FeasibilityClass(
             kind=FeasibilityKind.BOUNDED_FAIR_CERTIFICATE,
             certificate=auto_certificate(q),
         )
+    lo, hi = q - PERIODIC_ROOT_MATCH_TOL, q + PERIODIC_ROOT_MATCH_TOL
     for degree in range(2, search_degree + 1, 2):
         for pattern in enumerate_balanced(degree):
-            for root in pattern_roots(pattern).roots:
-                if abs(root - q) <= PERIODIC_ROOT_MATCH_TOL:
-                    return FeasibilityClass(
-                        kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root
-                    )
+            f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
+            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
+                root = bisect_root(lambda x: eval_pm(pattern, x), lo, hi, DEFAULT_ROOT_TOL)
+                return FeasibilityClass(
+                    kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root
+                )
     return FeasibilityClass(kind=FeasibilityKind.UNKNOWN, searched_degree=search_degree)
 
 

@@ -55,6 +55,14 @@ def test_classify_unknown_exit(capsys):
     assert json.loads(out)["class"] == "Unknown"
 
 
+def test_classify_periodic_exit(capsys):
+    code, out, _ = invoke(
+        capsys, "classify", "--q", "0.5436890126916784", "--search-degree", "8"
+    )
+    assert code == 0
+    assert json.loads(out)["class"] == "PeriodicFair"
+
+
 def test_classify_text_mode(capsys):
     code, out, _ = invoke(capsys, "classify", "--q", "0.4", "--format", "text")
     assert code == 1

@@ -18,6 +18,7 @@ from soupdiv import (
     prefix_diagnostics,
     signs_to_text,
 )
+from soupdiv.core import bisect_root
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -165,3 +166,13 @@ def test_eval_options_validation():
     assert EvalOptions().zero_tol == 1e-12
     with pytest.raises(InputError):
         EvalOptions(zero_tol=-1e-9)
+
+
+def test_bisect_root_brackets():
+    root = bisect_root(lambda x: x * x - 0.5, 0.5, 1.0, 1e-12)
+    assert abs(root - math.sqrt(0.5)) <= 1e-12
+    # either sign orientation of the bracket works
+    assert abs(bisect_root(lambda x: 0.5 - x * x, 0.5, 1.0, 1e-12) - root) <= 1e-12
+    # exact zeros at the left end or at a midpoint are returned as is
+    assert bisect_root(lambda x: x - 0.25, 0.25, 1.0, 1e-12) == 0.25
+    assert bisect_root(lambda x: x - 0.5, 0.0, 1.0, 1e-12) == 0.5

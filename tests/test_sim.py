@@ -14,8 +14,10 @@ from soupdiv import (
     classify,
     construct_bounded,
     fairness_report,
+    enumerate_balanced,
     geometric_fair_division,
     greedy_envelope,
+    pattern_roots,
     plan_envelope,
     prefix_diagnostics,
     q_infinity,
@@ -108,6 +110,15 @@ def test_fairness_report_inconclusive_without_bounds():
     assert fairness_report(trace).verdict is Verdict.INCONCLUSIVE
 
 
+def test_fairness_report_checks_every_enveloped_scoop():
+    # the envelope fails at scoop 2 and holds at scoop 100, the last one
+    q = 0.75
+    trace = simulate(q, geometric_fair_division(q, 100))
+    envelope = lambda k: 0.0 if k == 2 else (1.0 if k == 100 else None)
+    report = fairness_report(trace, envelope=envelope, imbalance1_cap=1)
+    assert report.verdict is Verdict.INCONCLUSIVE
+
+
 def test_classify_infeasible():
     result = classify(0.4)
     assert result.kind is FeasibilityKind.INFEASIBLE
@@ -141,6 +152,32 @@ def test_classify_periodic_fair_root():
     assert result.kind is FeasibilityKind.PERIODIC_FAIR
     assert result.pattern is not None
     assert abs(result.root - q) <= 1e-9
+
+
+def test_classify_agrees_with_grid_root_finder():
+    # Oracle: every grid-plus-bisection root of every balanced pattern of
+    # degree <= 8, in classify's search order (degree, then lexicographic).
+    q_inf = q_infinity(1e-12)
+    oracle = [
+        (pattern, root)
+        for degree in range(2, 9, 2)
+        for pattern in enumerate_balanced(degree)
+        for root in pattern_roots(pattern).roots
+    ]
+    rng = random.Random(2021)
+    qs = [root for _, root in oracle if 0.5 < root <= q_inf]
+    assert qs  # the open window holds planted roots at degree 8
+    qs += [rng.uniform(0.5, q_inf) for _ in range(10)]
+    for q in qs:
+        matches = [p for p, root in oracle if abs(root - q) <= 1e-9]
+        result = classify(q, search_degree=8)
+        if matches:
+            assert result.kind is FeasibilityKind.PERIODIC_FAIR
+            assert result.pattern == matches[0]
+            assert abs(result.root - q) <= 1e-9
+        else:
+            assert result.kind is FeasibilityKind.UNKNOWN
+            assert result.searched_degree == 8
 
 
 def test_classify_threshold_monotonicity():
