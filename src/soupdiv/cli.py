@@ -110,11 +110,22 @@ def _plan_payload(plan: FairDivisionPlan) -> dict[str, Any]:
 
 
 def _load_signs(value: str) -> SignSeq:
-    """Inline '+'/'-' string, or a path to a file with one sign per line."""
+    """Inline '+'/'-' string, or a path to a file with one sign per line.
+
+    A value that reads both ways (a file named like a sign string) is
+    refused rather than silently taken as inline signs.
+    """
     stripped = value.strip()
+    is_file = os.path.exists(value)
     if stripped and all(ch in "+-−" for ch in stripped):
+        if is_file:
+            raise InputError(
+                f"--signs {value!r} reads both as the inline signs {stripped!r} "
+                f"and as the existing file {value!r}; name the file with a "
+                f"directory prefix such as {os.path.join(os.curdir, value)!r}"
+            )
         return SignSeq(parse_signs(stripped))
-    if os.path.exists(value):
+    if is_file:
         signs = []
         with open(value, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -195,7 +206,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
 
 
 def _cmd_periodic_search(args: argparse.Namespace) -> int:
-    results = min_period_search(args.max_degree, grid=args.grid, root_tol=args.root_tol)
+    results = min_period_search(args.max_degree, root_tol=args.root_tol)
     rows = []
     for degree in sorted(results):
         for hit in results[degree]:
@@ -333,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic-search", help="exhaustive balanced-pattern root search")
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--root-tol", type=float, default=1e-12)
     add_common(p, "json")
     p.set_defaults(func=_cmd_periodic_search)

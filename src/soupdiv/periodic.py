@@ -7,16 +7,27 @@ pattern. :func:`min_period_search` scans all balanced patterns degree by
 degree for roots inside (0, 1); the smallest degree with any hit is 6
 (e.g. "+---++" at the inverse golden ratio).
 
-Root isolation is deliberately plain: sample on a fixed fine grid, bisect
-every sign change. Rotated patterns are distinct periodic divisions and are
-searched separately; the global negation of a hit is always a hit with the
-same roots (plate swap), so each hit records its negation partner.
+Roots are isolated exactly on integer coefficients. A balanced pattern is
+x * (1-x)^m * Q(x) with Q integer and nonzero at 0 and 1; the squarefree
+part of Q is split into intervals holding one root each by Descartes' rule
+of signs with Vincent-Collins-Akritas bisection, and each interval is then
+refined by :func:`core.bisect_root` on the exact sign of the polynomial at
+a float. No root decision depends on float rounding. Rotated patterns are
+distinct periodic divisions and are searched separately; the global
+negation of a hit is always a hit with the same roots (plate swap), so
+each hit records its negation partner.
+
+Searches over all balanced patterns (:func:`min_period_search`, and the
+open-window branch of ``sim.classify``) grow like 2^n/sqrt(n) in the
+degree, so they refuse up front when more than :data:`MAX_SEARCH_PATTERNS`
+patterns would be enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb, gcd
 from typing import Iterator
 
 from .core import (
@@ -31,8 +42,11 @@ from .core import (
     signs_to_text,
 )
 
-DEFAULT_GRID = 4096
 DEFAULT_ROOT_TOL = 1e-12
+# Most balanced patterns one search may enumerate. Degree 18 (66,196 patterns
+# through that degree; min_period_search(18) takes about 20 s on one Xeon
+# core) is admitted; degree 20 (250,952) and up is refused.
+MAX_SEARCH_PATTERNS = 100_000
 
 
 @dataclass(frozen=True)
@@ -95,41 +109,165 @@ def enumerate_balanced(n: int) -> Iterator[PMPattern]:
         yield PMPattern(tuple(signs))
 
 
-def pattern_roots(
-    pattern: PMPattern,
-    grid: int = DEFAULT_GRID,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> RootReport:
-    """Locate roots of ``pattern`` in (0, 1) by grid sampling plus bisection.
+def require_search_budget(max_degree: int) -> int:
+    """Count the balanced patterns of degree <= max_degree before a search.
 
-    Samples grid+1 equispaced points in [d, 1-d] with d = 1/(2*grid), bisects
-    every sign-change bracket to width <= root_tol, deduplicates within
-    2*root_tol, and discards roots within 2*root_tol of either endpoint.
-    An empty root list is a perfectly normal outcome.
+    Raises InputError, without enumerating anything, once the count exceeds
+    :data:`MAX_SEARCH_PATTERNS`; the count stops there, so an absurd degree
+    costs no more than a refused reasonable one.
     """
-    if grid < 2:
-        raise InputError(f"grid must be at least 2, got {grid!r}")
+    count = 0
+    for n in range(2, max_degree + 1, 2):
+        count += comb(n, n // 2)
+        if count > MAX_SEARCH_PATTERNS:
+            raise InputError(
+                f"searching degrees <= {max_degree} enumerates more than "
+                f"{MAX_SEARCH_PATTERNS:,} balanced patterns ({count:,} through "
+                f"degree {n} alone); choose a smaller degree"
+            )
+    return count
+
+
+# Integer polynomials are lists of coefficients in ascending order of power.
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // g for c in p]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of lc(b)^(deg a - deg b + 1) * a by b, without trailing zeros."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    for i in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()  # the coefficient of x^(i + db), cancelled below
+        r = [lead * c for c in r]
+        for j in range(db):
+            r[i + j] -= top * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of a and b (deg a >= deg b >= 0) by primitive remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over the integers."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    out = [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = top = r[i + db] // lead
+        for j, c in enumerate(b):
+            r[i + j] -= top * c
+    return out
+
+
+def _shift_by_one(p: list[int]) -> list[int]:
+    """Coefficients of p(x + 1)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def _sign_changes(p: list[int]) -> int:
+    signs = [c > 0 for c in p if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _scaled_value(p: list[int], x: float) -> int:
+    """den^deg(p) * p(x) for x = num/den exactly: a positive multiple of p(x)."""
+    num, den = x.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _isolate(q: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Vincent-Collins-Akritas bisection of a squarefree q on (0, 1).
+
+    A node (c, k, p) stands for the interval (c/2^k, (c+1)/2^k), with p(x)
+    a positive multiple of q((c + x)/2^k). By Descartes' rule the sign
+    changes of (1+x)^d p(1/(1+x)) bound the node's roots and have their
+    parity: none means no root, one means exactly one. Returns the dyadic
+    roots met as midpoints and the isolating intervals, both as (c, k).
+    """
+    d = len(q) - 1
+    exact: list[tuple[int, int]] = []
+    intervals: list[tuple[int, int]] = []
+    stack = [(0, 0, q)]
+    while stack:
+        c, k, p = stack.pop()
+        changes = _sign_changes(_shift_by_one(p[::-1]))
+        if changes == 1:
+            intervals.append((c, k))
+        elif changes > 1:
+            left = [a << (d - i) for i, a in enumerate(p)]  # 2^d p(x/2)
+            right = _shift_by_one(left)  # 2^d p((1+x)/2)
+            if right[0] == 0:
+                exact.append((2 * c + 1, k + 1))
+            stack.append((2 * c + 1, k + 1, right))
+            stack.append((2 * c, k + 1, left))
+    return exact, intervals
+
+
+def _unit_interval_roots(q: list[int], tol: float) -> list[float]:
+    """Sorted roots in (0, 1) of an integer polynomial with q(0), q(1) != 0.
+
+    Each root is reported once whatever its multiplicity: isolation runs on
+    the squarefree part q / gcd(q, q'). A dyadic root met as a midpoint is
+    exact; every other root is bisected to width <= tol on the sign of the
+    squarefree part with those dyadic roots divided out, so no bracket
+    endpoint is a root.
+    """
+    if len(q) < 2:
+        return []
+    q = _exact_quotient(q, _poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
+    exact, intervals = _isolate(q)
+    for c, k in exact:
+        q = _exact_quotient(q, [-c, 1 << k])
+    roots = [c / (1 << k) for c, k in exact]
+    for c, k in intervals:
+        lo, hi = c / (1 << k), (c + 1) / (1 << k)
+        roots.append(bisect_root(lambda x: _scaled_value(q, x), lo, hi, tol))
+    return sorted(roots)
+
+
+def pattern_roots(pattern: PMPattern, root_tol: float = DEFAULT_ROOT_TOL) -> RootReport:
+    """Locate roots of ``pattern`` in (0, 1) by exact isolation plus bisection.
+
+    Divides the pattern by x and by (1-x) as often as it vanishes at 1,
+    which leaves an integer cofactor nonzero at both ends, isolates the
+    cofactor's roots in (0, 1) and bisects each to width <= root_tol. Roots
+    within 2*root_tol of either endpoint are discarded and roots within
+    2*root_tol of each other merged. An empty root list is a perfectly
+    normal outcome.
+    """
     if not root_tol > 0.0:
         raise InputError(f"root_tol must be positive, got {root_tol!r}")
+    cofactor = list(as_signs(pattern))  # the pattern divided by x
+    if not cofactor:
+        raise InputError("cannot find roots of an empty sign sequence")
+    while sum(cofactor) == 0:  # divide by (1 - x): prefix sums
+        cofactor = list(accumulate(cofactor))[:-1]
 
-    def f(x: float) -> float:
-        return eval_pm(pattern, x)
-
-    delta = 1.0 / (2.0 * grid)
-    span = 1.0 - 2.0 * delta
-    xs = [delta + j * span / grid for j in range(grid + 1)]
-    values = [f(x) for x in xs]
-
-    found: list[float] = []
-    for j in range(grid + 1):
-        if values[j] == 0.0:
-            found.append(xs[j])
-        elif j < grid and values[j + 1] != 0.0 and (values[j] < 0.0) != (values[j + 1] < 0.0):
-            found.append(bisect_root(f, xs[j], xs[j + 1], root_tol))
-
-    found.sort()
     roots: list[float] = []
-    for r in found:
+    for r in _unit_interval_roots(cofactor, root_tol):
         if r < 2.0 * root_tol or r > 1.0 - 2.0 * root_tol:
             continue
         if roots and r - roots[-1] <= 2.0 * root_tol:
@@ -139,24 +277,24 @@ def pattern_roots(
 
 
 def min_period_search(
-    max_N: int,
-    grid: int = DEFAULT_GRID,
-    root_tol: float = DEFAULT_ROOT_TOL,
+    max_N: int, root_tol: float = DEFAULT_ROOT_TOL
 ) -> dict[int, list[PeriodicHit]]:
     """Search every period length N <= max_N for patterns with roots in (0, 1).
 
     Odd N carry an empty list (no balanced pattern exists). The enumeration
     order is deterministic, so the output is reproducible; no claim of having
-    listed every fair division is made beyond the searched degrees.
+    listed every fair division is made beyond the searched degrees. Raises
+    InputError up front beyond the pattern budget (:func:`require_search_budget`).
     """
     if max_N < 2:
         raise InputError(f"max_N must be at least 2, got {max_N!r}")
+    require_search_budget(max_N)
     results: dict[int, list[PeriodicHit]] = {}
     for n in range(1, max_N + 1):
         hits: list[PeriodicHit] = []
         if n % 2 == 0:
             for pattern in enumerate_balanced(n):
-                report = pattern_roots(pattern, grid=grid, root_tol=root_tol)
+                report = pattern_roots(pattern, root_tol=root_tol)
                 if report.roots:
                     partner = signs_to_text(-s for s in pattern.signs)
                     hits.append(

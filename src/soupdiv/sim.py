@@ -36,7 +36,9 @@ from .core import (
     InputError, Signs, as_signs, bisect_root, eval_pm, geometric_tail, require_unit_open
 )
 from .greedy import INV_SQRT2
-from .periodic import DEFAULT_ROOT_TOL, PMPattern, enumerate_balanced
+from .periodic import (
+    DEFAULT_ROOT_TOL, PMPattern, enumerate_balanced, require_search_budget
+)
 
 PERIODIC_ROOT_MATCH_TOL = 1e-9
 
@@ -227,7 +229,9 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     as the witness). In the open window every balanced pattern of degree
     <= ``search_degree`` is tested for a sign change on q +- 1e-9; the first
     hit is bisected and returned as a periodic match, otherwise the answer
-    is Unknown, which must not be strengthened.
+    is Unknown, which must not be strengthened. A search over more
+    patterns than the budget allows is refused before it starts
+    (:func:`periodic.require_search_budget`).
     """
     require_unit_open(q)
     if search_degree < 2 or search_degree % 2 != 0:
@@ -246,6 +250,7 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
             kind=FeasibilityKind.BOUNDED_FAIR_CERTIFICATE,
             certificate=auto_certificate(q),
         )
+    require_search_budget(search_degree)
     lo, hi = q - PERIODIC_ROOT_MATCH_TOL, q + PERIODIC_ROOT_MATCH_TOL
     for degree in range(2, search_degree + 1, 2):
         for pattern in enumerate_balanced(degree):

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+import soupdiv.periodic as periodic
+import soupdiv.sim as sim
 from soupdiv.cli import run
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,6 +88,28 @@ def test_periodic_search_empty_is_negative(capsys):
     assert json.loads(out) == []
 
 
+def test_periodic_search_grid_option_is_gone(capsys):
+    code, _, err = invoke(capsys, "periodic-search", "--max-degree", "6", "--grid", "8")
+    assert code == 2
+    assert "--grid" in err
+
+
+def test_exponential_searches_refused_up_front(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("enumerated patterns before checking the budget")
+
+    monkeypatch.setattr(periodic, "enumerate_balanced", refuse)
+    monkeypatch.setattr(sim, "enumerate_balanced", refuse)
+    for argv in (
+        ["periodic-search", "--max-degree", "40"],
+        ["classify", "--q", "0.55", "--search-degree", "40"],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "balanced patterns" in err
+
+
 def test_greedy_subcommand(capsys):
     code, out, _ = invoke(capsys, "greedy", "--q", "0.75", "--scoops", "10")
     assert code == 0
@@ -163,6 +187,19 @@ def test_simulate_signs_from_file(tmp_path, capsys):
     )
     assert code_inline == code_file == 0
     assert out_inline == out_file
+
+
+def test_simulate_signs_reading_both_ways_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "+-").write_text("-\n+\n")
+    code, out, err = invoke(capsys, "simulate", "--q", "0.5", "--signs", "+-")
+    assert code == 2
+    assert out == ""
+    assert "inline signs '+-'" in err and "existing file '+-'" in err
+    code_file, out_file, _ = invoke(capsys, "simulate", "--q", "0.5", "--signs", "./+-")
+    code_inline, out_inline, _ = invoke(capsys, "simulate", "--q", "0.5", "--signs=-+")
+    assert code_file == code_inline == 0
+    assert out_file == out_inline
 
 
 def test_simulate_json_summary(capsys):

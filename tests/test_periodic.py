@@ -1,9 +1,13 @@
 """Periodic fairness, exhaustive enumeration, and root isolation."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import soupdiv.periodic as periodic
 from soupdiv import (
     EvalOptions,
     InputError,
@@ -15,6 +19,8 @@ from soupdiv import (
     pattern_roots,
     prefix_diagnostics,
 )
+from soupdiv.core import bisect_root
+from soupdiv.periodic import DEFAULT_ROOT_TOL, MAX_SEARCH_PATTERNS, require_search_budget
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN = "+---++"
@@ -90,19 +96,98 @@ def test_golden_pattern_root():
     assert abs(eval_pm(GOLDEN, report.roots[0])) <= 2e-12
 
 
-def test_roots_refine_when_grid_doubles():
+def _grid_roots(signs, grid, root_tol=DEFAULT_ROOT_TOL):
+    """Oracle: the grid finder that pattern_roots used before exact isolation.
+
+    Samples grid+1 equispaced points in [d, 1-d] with d = 1/(2*grid) (the
+    same float values as a scalar Horner loop), bisects every sign change to
+    width <= root_tol, merges roots within 2*root_tol and drops roots within
+    2*root_tol of either endpoint.
+    """
+    delta = 1.0 / (2.0 * grid)
+    span = 1.0 - 2.0 * delta
+    xs = delta + np.arange(grid + 1) * span / grid
+    values = np.zeros_like(xs)
+    for s in reversed(signs):
+        values = values * xs + s
+    values = values * xs
+    found = [float(x) for x in xs[values == 0.0]]
+    for j in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
+        lo, hi = float(xs[j]), float(xs[j + 1])
+        found.append(bisect_root(lambda x: eval_pm(signs, x), lo, hi, root_tol))
+    roots = []
+    for r in sorted(found):
+        if r < 2.0 * root_tol or r > 1.0 - 2.0 * root_tol:
+            continue
+        if roots and r - roots[-1] <= 2.0 * root_tol:
+            continue
+        roots.append(r)
+    return roots
+
+
+@pytest.fixture(scope="module")
+def grid_oracle():
+    """Grid roots at 4096 intervals of every balanced pattern of degree <= 10."""
+    return {
+        pattern: _grid_roots(pattern.signs, 4096)
+        for degree in range(2, 11, 2)
+        for pattern in enumerate_balanced(degree)
+    }
+
+
+def test_exact_roots_match_grid_oracle(grid_oracle):
+    assert len(grid_oracle) == 2 + 6 + 20 + 70 + 252
+    for pattern, expected in grid_oracle.items():
+        got = pattern_roots(pattern).roots
+        assert len(got) == len(expected), pattern.to_text()
+        for a, b in zip(got, expected):
+            assert abs(a - b) <= 2e-12, pattern.to_text()
+
+
+def test_roots_refine_when_grid_doubles(grid_oracle):
     for degree in (6, 8):
         for pattern in enumerate_balanced(degree):
-            coarse = pattern_roots(pattern, grid=2048).roots
-            fine = pattern_roots(pattern, grid=4096).roots
-            for r in coarse:
-                assert any(abs(r - s) <= 1e-9 for s in fine)
+            exact = pattern_roots(pattern).roots
+            for grid_roots in (_grid_roots(pattern.signs, 2048), grid_oracle[pattern]):
+                for r in exact:
+                    assert any(abs(r - s) <= 1e-9 for s in grid_roots)
+                for s in grid_roots:
+                    assert any(abs(r - s) <= 1e-9 for r in exact)
+
+
+def _exact_value(signs, x):
+    return sum(s * x**i for i, s in enumerate(signs, start=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda half: st.permutations([1] * half + [-1] * half)))
+def test_roots_are_exact_sign_brackets(signs):
+    pattern = PMPattern(tuple(signs))
+    roots = pattern_roots(pattern).roots
+    assert pattern_roots(pattern.negated()).roots == roots
+    tol = Fraction(DEFAULT_ROOT_TOL)
+    for r in map(Fraction, roots):
+        lo, hi = _exact_value(signs, r - tol), _exact_value(signs, r + tol)
+        assert _exact_value(signs, r) == 0 or lo == 0 or hi == 0 or (lo < 0) != (hi < 0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ([1, -3, 0, 4], [0.5]),  # (2x-1)^2 (x+1): double root on the first midpoint
+        ([-2, 15, -36, 27], [1 / 3, 2 / 3]),  # (3x-1)^2 (3x-2): double root off the dyadics
+        ([-3, 19, -26, -16, 32], [0.25, 0.5, 0.75]),  # (4x-1)(2x-1)(4x-3)(x+1)
+    ],
+)
+def test_unit_interval_roots_repeated_and_dyadic(coeffs, expected):
+    roots = periodic._unit_interval_roots(coeffs, DEFAULT_ROOT_TOL)
+    assert len(roots) == len(expected)
+    for r, e in zip(roots, expected):
+        assert abs(r - e) <= DEFAULT_ROOT_TOL
 
 
 def test_pattern_roots_validation():
     golden = PMPattern.from_text(GOLDEN)
-    with pytest.raises(InputError):
-        pattern_roots(golden, grid=1)
     with pytest.raises(InputError):
         pattern_roots(golden, root_tol=0.0)
 
@@ -135,6 +220,19 @@ def test_search_negation_closure():
 def test_search_validation():
     with pytest.raises(InputError):
         min_period_search(1)
+
+
+def test_search_budget_refuses_before_enumerating(monkeypatch):
+    def refuse(n):
+        raise AssertionError("enumerated patterns before checking the budget")
+
+    monkeypatch.setattr(periodic, "enumerate_balanced", refuse)
+    with pytest.raises(InputError, match=f"more than {MAX_SEARCH_PATTERNS:,} balanced patterns"):
+        min_period_search(40)
+    for degree in (6, 8, 10, 12, 16):
+        assert require_search_budget(degree) == sum(
+            math.comb(n, n // 2) for n in range(2, degree + 1, 2)
+        )
 
 
 def test_fair_period_agrees_with_simulation():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import soupdiv.sim as sim
 from soupdiv import (
     Certificate,
     FeasibilityKind,
@@ -200,3 +201,14 @@ def test_classify_threshold_monotonicity():
 def test_classify_validation():
     with pytest.raises(InputError):
         classify(0.6, search_degree=7)
+
+
+def test_classify_refuses_oversized_search_before_enumerating(monkeypatch):
+    def refuse(n):
+        raise AssertionError("enumerated patterns before checking the budget")
+
+    monkeypatch.setattr(sim, "enumerate_balanced", refuse)
+    with pytest.raises(InputError, match="balanced patterns"):
+        classify(0.55, search_degree=40)
+    # outside the open window no pattern is searched, so nothing is refused
+    assert classify(0.75, search_degree=40).kind is FeasibilityKind.BOUNDED_FAIR_GREEDY
