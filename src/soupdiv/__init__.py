@@ -34,9 +34,7 @@ from .approx import (
     verify_certificate,
 )
 from .core import (
-    DEFAULT_ZERO_TOL,
     DomainError,
-    EvalOptions,
     InputError,
     PMPattern,
     SignSeq,
@@ -47,14 +45,7 @@ from .core import (
     prefix_diagnostics,
     signs_to_text,
 )
-from .greedy import (
-    Condition1Error,
-    INV_SQRT2,
-    PairedSeries,
-    check_condition1,
-    geometric_fair_division,
-    greedy_balance,
-)
+from .greedy import INV_SQRT2, geometric_fair_division
 from .periodic import (
     PeriodicHit,
     PeriodicVerdict,
@@ -87,10 +78,7 @@ __all__ = [
     "CertificateChecks",
     "CertificateError",
     "CertificateFailure",
-    "Condition1Error",
-    "DEFAULT_ZERO_TOL",
     "DomainError",
-    "EvalOptions",
     "FairDivisionPlan",
     "FairnessReport",
     "FeasibilityClass",
@@ -99,7 +87,6 @@ __all__ = [
     "InequalityCheck",
     "InputError",
     "PMPattern",
-    "PairedSeries",
     "PeriodicHit",
     "PeriodicVerdict",
     "RootReport",
@@ -110,7 +97,6 @@ __all__ = [
     "approximate_step",
     "as_signs",
     "auto_certificate",
-    "check_condition1",
     "classify",
     "classify_periodic",
     "construct_bounded",
@@ -120,7 +106,6 @@ __all__ = [
     "fairness_report",
     "geometric_fair_division",
     "geometric_tail",
-    "greedy_balance",
     "greedy_envelope",
     "min_period_search",
     "parse_signs",

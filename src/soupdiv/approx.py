@@ -14,6 +14,10 @@ P_n(q). Three inequality families make that true:
 * base:      A * q^2 >= P_1(q),
 * endpoint:  P_N(q) + A * q^(2N) >= A   (forced by the definition of A).
 
+Each is checked in double precision with the additive slack ``core.TOL``,
+the tightest exact-real inequality double precision can certify at unit
+scale; the covering step of the construction reuses the same slack.
+
 The gap inequality reduces to the constant ratio (2-q-q^2)/(1+q^2) <= A,
 and since A climbs to P_inf(q), certificates exist for every q above
 q_infinity, the unique positive root of x^4 + x^3 + 2x^2 - 1 (about
@@ -32,11 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .core import DomainError, InputError, PMPattern, SignSeq, bisect_root, require_unit_open
-
-# Additive slack on every certificate inequality; double precision cannot
-# certify exact-real inequalities tighter than this at unit scale.
-CERT_TOL = 1e-12
+from .core import TOL, DomainError, InputError, PMPattern, SignSeq, bisect_root, require_unit_open
 
 DEFAULT_N_MAX = 64
 
@@ -83,7 +83,7 @@ def qinf_poly(x: float) -> float:
     return ((x + 1.0) * x + 2.0) * x * x - 1.0
 
 
-def q_infinity(tol: float = 1e-12) -> float:
+def q_infinity(tol: float = TOL) -> float:
     """Root of :func:`qinf_poly` in (0.5, 0.6) by bisection to width <= tol."""
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol!r}")
@@ -94,7 +94,7 @@ def q_infinity(tol: float = 1e-12) -> float:
 
 
 # The threshold itself, computed once at import.
-Q_INF = q_infinity(1e-12)
+Q_INF = q_infinity(TOL)
 
 
 def covering_ratio(q: float) -> float:
@@ -156,7 +156,7 @@ def verify_certificate(q: float, N: int) -> Union[Certificate, CertificateFailur
     then the endpoint bound: when certification fails, the gap defect (the
     ratio exceeding A) is the informative diagnostic, while the base
     inequality also fails at every N for the same q. All comparisons carry
-    an additive slack of 1e-12.
+    the additive slack ``core.TOL``.
     """
     if not (0.5 < q < 1.0):
         raise DomainError(f"q must lie strictly between 1/2 and 1, got {q!r}")
@@ -178,17 +178,17 @@ def verify_certificate(q: float, N: int) -> Union[Certificate, CertificateFailur
     for n in range(1, N):
         lhs = abs(values[n] - values[n - 1])
         rhs = A * (q ** (2 * n) + q ** (2 * n + 2))
-        if lhs > rhs + CERT_TOL:
+        if lhs > rhs + TOL:
             return failure("gap", n, lhs, rhs)
         if worst_gap is None or lhs - rhs > worst_gap.lhs - worst_gap.rhs:
             worst_gap = InequalityCheck(lhs=lhs, rhs=rhs, ok=True)
 
     base_lhs, base_rhs = values[0], A * q * q
-    if base_lhs > base_rhs + CERT_TOL:
+    if base_lhs > base_rhs + TOL:
         return failure("base", 1, base_lhs, base_rhs)
 
     end_lhs, end_rhs = A, values[-1] + A * q ** (2 * N)
-    if end_lhs > end_rhs + CERT_TOL:
+    if end_lhs > end_rhs + TOL:
         return failure("endpoint", N, end_lhs, end_rhs)
 
     checks = CertificateChecks(
@@ -236,12 +236,12 @@ def approximate_step(x0: float, cert: Certificate) -> ApproxStep:
     every x0 in [0, A]; comparisons reuse the certificate slack so the
     guarantee survives floating point.
     """
-    if x0 < -CERT_TOL or x0 > cert.A + CERT_TOL:
+    if x0 < -TOL or x0 > cert.A + TOL:
         raise DomainError(f"x0={x0!r} outside the covered segment [0, {cert.A!r}]")
     q = cert.q
     for n in range(1, cert.N + 1):
         residual = x0 - cert.pn_values[n - 1]
-        if abs(residual) <= cert.A * q ** (2 * n) + CERT_TOL:
+        if abs(residual) <= cert.A * q ** (2 * n) + TOL:
             return ApproxStep(n=n, pattern=pn_pattern(n), residual=residual)
     raise RuntimeError(
         f"certificate invariant broken: no admissible n for x0={x0!r} "

@@ -33,6 +33,7 @@ from .approx import (
     verify_certificate,
 )
 from .core import (
+    TOL,
     DomainError,
     InputError,
     SignSeq,
@@ -40,7 +41,7 @@ from .core import (
     prefix_diagnostics,
     require_unit_open,
 )
-from .greedy import Condition1Error, geometric_fair_division
+from .greedy import geometric_fair_division
 from .periodic import min_period_search
 from .sim import FeasibilityKind, classify, simulate, write_trace_csv
 
@@ -91,6 +92,20 @@ def _certificate_payload(cert: Certificate) -> dict[str, Any]:
 
 def _failure_payload(failure: CertificateFailure) -> dict[str, Any]:
     return dataclasses.asdict(failure)
+
+
+def _emit_failure(failure: CertificateFailure, args: argparse.Namespace) -> int:
+    """Report a failed certification in the requested format; exit code 1."""
+    if args.format == "json":
+        _emit(_dump_json({"failure": _failure_payload(failure)}), args.out)
+    else:
+        _emit(
+            f"not certified: {failure.family} inequality fails at n={failure.index} "
+            f"({_txt(failure.lhs)} vs {_txt(failure.rhs)}), "
+            f"ratio={_txt(failure.ratio)}, limit={_txt(failure.p_limit)}\n",
+            args.out,
+        )
+    return 1
 
 
 def _plan_payload(plan: FairDivisionPlan) -> dict[str, Any]:
@@ -236,28 +251,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         result = verify_certificate(args.q, args.N)
     else:
         result = auto_certificate(args.q, n_max=args.n_max)
-    ok = isinstance(result, Certificate)
+    if isinstance(result, CertificateFailure):
+        return _emit_failure(result, args)
     if args.format == "json":
-        payload = (
-            {"certificate": _certificate_payload(result)}
-            if ok
-            else {"failure": _failure_payload(result)}
-        )
-        _emit(_dump_json(payload), args.out)
+        _emit(_dump_json({"certificate": _certificate_payload(result)}), args.out)
     else:
-        if ok:
-            _emit(
-                f"certified q={_txt(result.q)} with N={result.N}, A={_txt(result.A)}\n",
-                args.out,
-            )
-        else:
-            _emit(
-                f"not certified: {result.family} inequality fails at n={result.index} "
-                f"({_txt(result.lhs)} vs {_txt(result.rhs)}), "
-                f"ratio={_txt(result.ratio)}, limit={_txt(result.p_limit)}\n",
-                args.out,
-            )
-    return 0 if ok else 1
+        _emit(
+            f"certified q={_txt(result.q)} with N={result.N}, A={_txt(result.A)}\n",
+            args.out,
+        )
+    return 0
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -265,14 +268,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.N is not None:
         result = verify_certificate(args.q, args.N)
         if isinstance(result, CertificateFailure):
-            _emit(_dump_json({"failure": _failure_payload(result)}), args.out)
-            return 1
+            return _emit_failure(result, args)
         cert = result
     try:
         plan = construct_bounded(args.q, args.scoops, cert=cert)
     except CertificateError as exc:
-        _emit(_dump_json({"failure": _failure_payload(exc.failure)}), args.out)
-        return 1
+        return _emit_failure(exc.failure, args)
     if args.format == "json":
         _emit(_dump_json(_plan_payload(plan)), args.out)
     else:
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p = sub.add_parser("qinf", help="bisect the certificate-threshold quartic")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=TOL)
     add_common(p, "text")
     p.set_defaults(func=_cmd_qinf)
 
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic-search", help="exhaustive balanced-pattern root search")
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--root-tol", type=float, default=1e-12)
+    p.add_argument("--root-tol", type=float, default=TOL)
     add_common(p, "json")
     p.set_defaults(func=_cmd_periodic_search)
 
@@ -387,7 +388,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     try:
         return args.func(args)
-    except (DomainError, InputError, Condition1Error) as exc:
+    except (DomainError, InputError) as exc:
         print(f"soupdiv: error: {exc}", file=sys.stderr)
         return 2
 

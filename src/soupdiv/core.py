@@ -13,8 +13,18 @@ Patterns are written as strings of '+' and '-' with the leftmost character
 at exponent 1, e.g. "+---++". The Unicode minus sign is accepted on input;
 output always uses the ASCII hyphen.
 
-All arithmetic is double precision. "Equals zero" always means "within a
-declared absolute tolerance", 1e-12 by default (`EvalOptions.zero_tol`).
+All arithmetic is double precision, and every tolerance the package uses is
+declared once, in the policy block below:
+
+* ``TOL`` -- additive slack at unit scale. A value counts as zero, and an
+  inequality between quantities of order one counts as holding, within it.
+  It is the periodic fairness zero, the certificate slack, the greedy
+  admission band below 1/sqrt(2), and the default bisection width of roots
+  and of the quartic threshold.
+* ``TRACE_TOL_PER_SCOOP`` -- rounding budget of a simulated trace: after k
+  scoops an envelope comparison allows k times this much.
+* ``ROOT_MATCH_WINDOW`` -- half-width of the window around q in which
+  ``sim.classify`` looks for a sign change of a balanced pattern.
 """
 
 from __future__ import annotations
@@ -22,7 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-DEFAULT_ZERO_TOL = 1e-12
+# Numerical policy: the only tolerances in the package (see module docstring).
+TOL = 1e-12
+TRACE_TOL_PER_SCOOP = 1e-15
+ROOT_MATCH_WINDOW = 1e-9
 
 _SIGN_BY_CHAR = {"+": 1, "-": -1, "−": -1}
 
@@ -130,17 +143,6 @@ class PMPattern:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.signs)
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Tolerance policy: |value| <= zero_tol counts as zero."""
-
-    zero_tol: float = DEFAULT_ZERO_TOL
-
-    def __post_init__(self) -> None:
-        if not (self.zero_tol >= 0.0):
-            raise InputError(f"zero_tol must be nonnegative, got {self.zero_tol!r}")
 
 
 Signs = Union[SignSeq, PMPattern, str, Sequence[int]]

@@ -1,160 +1,39 @@
-"""Greedy sign assignment for paired series, and its geometric specialization.
+"""Greedy paired division of the geometric series, for q >= 1/sqrt(2).
 
-Scoops are paired (1,2), (3,4), ...; pair k contributes a gap
-``b_k = |a_{2k-1} - a_{2k}|`` which receives one sign. When every gap is
-dominated by the sum of all later gaps (the pairing condition checked by
-:func:`check_condition1`), choosing each sign against the running partial
-sum keeps every partial sum inside the remaining tail, so the signed series
-of gaps can be driven to zero.
-
-For the geometric series a_i = q^i the gaps and tails have closed forms
-``b_k = q^(2k-1) * (1-q)`` and ``tail_k = q^(2k+1) / (1+q)``, and the
-pairing condition holds exactly when q >= 1/sqrt(2). That threshold is
-where :func:`geometric_fair_division` stops; smaller q needs the covering
-certificates in :mod:`soupdiv.approx`.
+Scoops are paired (1,2), (3,4), ...; pair k sends its earlier scoop to the
+plate named by the pair sign, so it adds sign * b_k to the residual, with
+gap ``b_k = q^(2k-1) * (1-q)``. The sum of all later gaps is the tail
+``tail_k = q^(2k+1) / (1+q)``. Choosing each pair sign against the running
+residual keeps |r_2k| <= tail_k for every k as long as every gap is at most
+its tail, b_k <= tail_k, which reduces to (1-q)(1+q) <= q^2, i.e.
+q >= 1/sqrt(2). That threshold is where :func:`geometric_fair_division`
+stops; smaller q needs the covering certificates in :mod:`soupdiv.approx`.
+Decimal entries of 1/sqrt(2) a little below the float ``INV_SQRT2`` are
+admitted within ``core.TOL``; in that band a gap can exceed its tail by
+about ``core.TOL``, and the residual bound holds only up to that excess.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
-from .core import DomainError, InputError, SignSeq, require_unit_open
+from .core import TOL, DomainError, InputError, SignSeq, require_unit_open
 
 INV_SQRT2 = math.sqrt(0.5)
-
-# Additive slack for gap-vs-tail comparisons, scaled by max(1, tail).
-CONDITION1_SLACK = 1e-12
-
-# Decimal entry of 1/sqrt(2) must not be rejected by the threshold test.
-THRESHOLD_TOL = 1e-12
-
-_CHAIN_TOL = 1e-12
-
-
-class Condition1Error(ValueError):
-    """The pairing condition b_k <= tail_k fails at ``index`` (1-based)."""
-
-    def __init__(self, index: int, b: float, tail: float):
-        self.index = index
-        self.b = b
-        self.tail = tail
-        super().__init__(
-            f"pairing condition violated at k={index}: gap {b!r} exceeds tail {tail!r}"
-        )
-
-
-@dataclass(frozen=True)
-class PairedSeries:
-    """Pair gaps ``b`` and their tails ``tail[k] = sum_{n>k} b[n]`` (1-based k).
-
-    The tail may come from a closed form or from plain summation; either way
-    consecutive entries must chain: tail[k] = tail[k+1] + b[k+1].
-    """
-
-    b: tuple[float, ...]
-    tail: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        b = tuple(float(x) for x in self.b)
-        tail = tuple(float(x) for x in self.tail)
-        if len(b) != len(tail):
-            raise InputError(
-                f"b and tail must have equal length, got {len(b)} and {len(tail)}"
-            )
-        if not b:
-            raise InputError("paired series must contain at least one gap")
-        for k, (bk, tk) in enumerate(zip(b, tail), start=1):
-            if bk < 0.0 or tk < 0.0:
-                raise InputError(f"negative entry at k={k}: b={bk!r}, tail={tk!r}")
-        for k in range(len(b) - 1):
-            expected = tail[k + 1] + b[k + 1]
-            if abs(tail[k] - expected) > _CHAIN_TOL * max(1.0, abs(tail[k])):
-                raise InputError(
-                    f"tail chain broken at k={k + 1}: tail[k]={tail[k]!r} but "
-                    f"tail[k+1]+b[k+1]={expected!r}"
-                )
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "tail", tail)
-
-    def __len__(self) -> int:
-        return len(self.b)
-
-    @classmethod
-    def from_gaps(cls, gaps: Sequence[float]) -> "PairedSeries":
-        """Build a series from gaps alone, tails by exact suffix summation."""
-        b = [float(x) for x in gaps]
-        tail = [0.0] * len(b)
-        acc = 0.0
-        for k in range(len(b) - 1, -1, -1):
-            tail[k] = acc
-            acc += b[k]
-        return cls(tuple(b), tuple(tail))
-
-    @classmethod
-    def geometric(cls, q: float, n_pairs: int) -> "PairedSeries":
-        """Gaps and tails of the geometric series q^i in closed form."""
-        require_unit_open(q)
-        if n_pairs < 1:
-            raise InputError(f"n_pairs must be positive, got {n_pairs!r}")
-        b = tuple(q ** (2 * k - 1) * (1.0 - q) for k in range(1, n_pairs + 1))
-        tail = tuple(q ** (2 * k + 1) / (1.0 + q) for k in range(1, n_pairs + 1))
-        return cls(b, tail)
-
-
-def check_condition1(series: PairedSeries) -> tuple[bool, Optional[int]]:
-    """Check b_k <= tail_k (plus slack) for every supplied k.
-
-    Returns ``(True, None)`` when the condition holds everywhere, otherwise
-    ``(False, k)`` with the smallest violating 1-based index.
-    """
-    for k, (bk, tk) in enumerate(zip(series.b, series.tail), start=1):
-        if bk > tk + CONDITION1_SLACK * max(1.0, tk):
-            return False, k
-    return True, None
-
-
-def greedy_balance(series: PairedSeries, require_condition1: bool = False) -> list[int]:
-    """Choose a sign per gap so partial sums stay within the remaining tail.
-
-    The sign opposes the running partial sum: '-' when it is strictly
-    positive, '+' otherwise (so the first sign, facing an empty sum, is '+').
-    The rule is online: a longer series extends the signs of its prefixes.
-
-    |sum_{i<=k} sign_i * b_i| <= tail_k is guaranteed on every prefix k up to
-    which the pairing condition holds. Finite series with tails obtained by
-    plain summation always break the condition at their last index (the tail
-    runs out before the gaps do), so by default the rule just runs; pass
-    ``require_condition1=True`` to fail fast with :class:`Condition1Error`
-    naming the first violating index instead.
-    """
-    if require_condition1:
-        holds, violation = check_condition1(series)
-        if not holds:
-            assert violation is not None
-            raise Condition1Error(
-                violation, series.b[violation - 1], series.tail[violation - 1]
-            )
-    signs: list[int] = []
-    partial = 0.0
-    for bk in series.b:
-        sign = -1 if partial > 0.0 else 1
-        signs.append(sign)
-        partial += sign * bk
-    return signs
 
 
 def geometric_fair_division(q: float, n_scoops: int) -> SignSeq:
     """Greedy scoop division for q >= 1/sqrt(2), paired as (+,-) / (-,+).
 
     Pair k covers scoops 2k-1 and 2k; a pair sign of +1 sends the earlier
-    scoop to plate '+', a pair sign of -1 the reverse. Prefix sign sums stay
-    in {-1, 0, +1} and the residual after 2k scoops is bounded by
-    q^(2k+1)/(1+q).
+    scoop to plate '+', a pair sign of -1 the reverse. The pair sign is '-'
+    when the running residual is strictly positive and '+' otherwise, so the
+    division opens with "+-" and a longer division extends a shorter one.
+    Prefix sign sums stay in {-1, 0, +1} and the residual after 2k scoops
+    is bounded by q^(2k+1)/(1+q).
     """
     require_unit_open(q)
-    if q < INV_SQRT2 - THRESHOLD_TOL:
+    if q < INV_SQRT2 - TOL:
         raise DomainError(
             f"q={q!r} is below the greedy threshold 1/sqrt(2)={INV_SQRT2!r}; "
             "for smaller q use a covering certificate construction "
@@ -162,9 +41,10 @@ def geometric_fair_division(q: float, n_scoops: int) -> SignSeq:
         )
     if n_scoops < 2 or n_scoops % 2 != 0:
         raise InputError(f"n_scoops must be a positive even integer, got {n_scoops!r}")
-    series = PairedSeries.geometric(q, n_scoops // 2)
-    pair_signs = greedy_balance(series, require_condition1=True)
     signs: list[int] = []
-    for sign in pair_signs:
-        signs.extend((1, -1) if sign > 0 else (-1, 1))
+    residual = 0.0
+    for k in range(1, n_scoops // 2 + 1):
+        sign = -1 if residual > 0.0 else 1
+        signs += (sign, -sign)
+        residual += sign * (q ** (2 * k - 1) * (1.0 - q))
     return SignSeq(tuple(signs))

@@ -31,7 +31,7 @@ from math import comb, gcd
 from typing import Iterator
 
 from .core import (
-    EvalOptions,
+    TOL,
     InputError,
     PMPattern,
     Signs,
@@ -42,7 +42,6 @@ from .core import (
     signs_to_text,
 )
 
-DEFAULT_ROOT_TOL = 1e-12
 # Most balanced patterns one search may enumerate. Degree 18 (66,196 patterns
 # through that degree; min_period_search(18) takes about 20 s on one Xeon
 # core) is admitted; degree 20 (250,952) and up is refused.
@@ -78,17 +77,16 @@ class PeriodicHit:
     canonical: bool
 
 
-def classify_periodic(
-    pattern: Signs, q: float, opts: EvalOptions = EvalOptions()
-) -> PeriodicVerdict:
-    """Decide fairness of the periodic division that repeats ``pattern``."""
+def classify_periodic(pattern: Signs, q: float) -> PeriodicVerdict:
+    """Decide fairness of the periodic division that repeats ``pattern``;
+    a residual within ``core.TOL`` counts as zero."""
     require_unit_open(q)
     signs = as_signs(pattern)
     if not signs:
         raise InputError("period must be nonempty")
     sign_sum = sum(signs)
     residual_abs = abs(eval_pm(signs, q))
-    fair = sign_sum == 0 and residual_abs <= opts.zero_tol
+    fair = sign_sum == 0 and residual_abs <= TOL
     return PeriodicVerdict(fair=fair, sign_sum=sign_sum, residual_abs=residual_abs)
 
 
@@ -248,7 +246,7 @@ def _unit_interval_roots(q: list[int], tol: float) -> list[float]:
     return sorted(roots)
 
 
-def pattern_roots(pattern: PMPattern, root_tol: float = DEFAULT_ROOT_TOL) -> RootReport:
+def pattern_roots(pattern: PMPattern, root_tol: float = TOL) -> RootReport:
     """Locate roots of ``pattern`` in (0, 1) by exact isolation plus bisection.
 
     Divides the pattern by x and by (1-x) as often as it vanishes at 1,
@@ -276,9 +274,7 @@ def pattern_roots(pattern: PMPattern, root_tol: float = DEFAULT_ROOT_TOL) -> Roo
     return RootReport(pattern=pattern, roots=tuple(roots))
 
 
-def min_period_search(
-    max_N: int, root_tol: float = DEFAULT_ROOT_TOL
-) -> dict[int, list[PeriodicHit]]:
+def min_period_search(max_N: int, root_tol: float = TOL) -> dict[int, list[PeriodicHit]]:
     """Search every period length N <= max_N for patterns with roots in (0, 1).
 
     Odd N carry an empty list (no balanced pattern exists). The enumeration

@@ -14,8 +14,8 @@ threshold-driven: below 1/2 no fair division exists, above 1/sqrt(2) the
 greedy pairing works, above the quartic threshold (about 0.5845751) a
 covering certificate works. In the remaining window it asks one question
 per balanced pattern, in order of degree: does the pattern change sign
-within 1e-9 of q? Only the first such bracket is bisected; without one the
-answer is honestly Unknown.
+within ``core.ROOT_MATCH_WINDOW`` of q? Only the first such bracket is
+bisected; without one the answer is honestly Unknown.
 """
 
 from __future__ import annotations
@@ -33,14 +33,11 @@ from .approx import (
     auto_certificate,
 )
 from .core import (
-    InputError, Signs, as_signs, bisect_root, eval_pm, geometric_tail, require_unit_open
+    ROOT_MATCH_WINDOW, TOL, TRACE_TOL_PER_SCOOP, InputError, Signs, as_signs, bisect_root,
+    eval_pm, geometric_tail, require_unit_open,
 )
 from .greedy import INV_SQRT2
-from .periodic import (
-    DEFAULT_ROOT_TOL, PMPattern, enumerate_balanced, require_search_budget
-)
-
-PERIODIC_ROOT_MATCH_TOL = 1e-9
+from .periodic import PMPattern, enumerate_balanced, require_search_budget
 
 
 @dataclass(frozen=True)
@@ -164,11 +161,12 @@ def fairness_report(
 
     BoundedFairObserved needs both an envelope and a cap, satisfied at every
     enveloped scoop and over all scoops respectively. Envelope
-    comparisons carry the trace's floating-point budget (k * 1e-15 after k
-    scoops): theoretical bounds decay below the double-precision noise floor
-    long before the trace ends. A final sign-sum imbalance covering at least
-    half the trace is the divergence signature (the all-'+' division reaches
-    it immediately); everything else is Inconclusive.
+    comparisons carry the trace's floating-point budget (k times
+    ``core.TRACE_TOL_PER_SCOOP`` after k scoops): theoretical bounds decay
+    below the double-precision noise floor long before the trace ends. A
+    final sign-sum imbalance covering at least half the trace is the
+    divergence signature (the all-'+' division reaches it immediately);
+    everything else is Inconclusive.
     """
     if not trace.rows:
         raise InputError("cannot report on an empty trace")
@@ -181,7 +179,8 @@ def fairness_report(
             bound = envelope(row.index)
             if bound is not None:
                 pairs.append((row.index, bound))
-                enveloped_ok = enveloped_ok and abs(row.imbalance2) <= bound + row.index * 1e-15
+                budget = row.index * TRACE_TOL_PER_SCOOP
+                enveloped_ok = enveloped_ok and abs(row.imbalance2) <= bound + budget
     if 2 * abs(trace.final.imbalance1) >= len(trace.rows):
         verdict = Verdict.DIVERGING
     elif (
@@ -227,11 +226,11 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     1/sqrt(2) the greedy pairing applies; above the quartic threshold the
     covering certificate applies (the auto-certificate outcome is attached
     as the witness). In the open window every balanced pattern of degree
-    <= ``search_degree`` is tested for a sign change on q +- 1e-9; the first
-    hit is bisected and returned as a periodic match, otherwise the answer
-    is Unknown, which must not be strengthened. A search over more
-    patterns than the budget allows is refused before it starts
-    (:func:`periodic.require_search_budget`).
+    <= ``search_degree`` is tested for a sign change on
+    q +- ``core.ROOT_MATCH_WINDOW``; the first hit is bisected and returned
+    as a periodic match, otherwise the answer is Unknown, which must not be
+    strengthened. A search over more patterns than the budget allows is
+    refused before it starts (:func:`periodic.require_search_budget`).
     """
     require_unit_open(q)
     if search_degree < 2 or search_degree % 2 != 0:
@@ -251,12 +250,12 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
             certificate=auto_certificate(q),
         )
     require_search_budget(search_degree)
-    lo, hi = q - PERIODIC_ROOT_MATCH_TOL, q + PERIODIC_ROOT_MATCH_TOL
+    lo, hi = q - ROOT_MATCH_WINDOW, q + ROOT_MATCH_WINDOW
     for degree in range(2, search_degree + 1, 2):
         for pattern in enumerate_balanced(degree):
             f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
             if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
-                root = bisect_root(lambda x: eval_pm(pattern, x), lo, hi, DEFAULT_ROOT_TOL)
+                root = bisect_root(lambda x: eval_pm(pattern, x), lo, hi, TOL)
                 return FeasibilityClass(
                     kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root
                 )

@@ -16,7 +16,6 @@ import pytest
 from soupdiv import (
     Certificate,
     CertificateFailure,
-    EvalOptions,
     auto_certificate,
     classify,
     classify_periodic,
@@ -69,7 +68,7 @@ def test_criterion_2_minimal_period_six(capsys):
     assert "+---++" in six and "-+++--" in six
     root = six["+---++"].roots[0]
     assert abs(root - PHI_INV) <= 1e-9
-    verdict = classify_periodic("+---++", root, EvalOptions(zero_tol=1e-12))
+    verdict = classify_periodic("+---++", root)
     assert verdict.fair and verdict.residual_abs <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

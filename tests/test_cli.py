@@ -120,6 +120,13 @@ def test_greedy_subcommand(capsys):
     assert abs(payload["final_residual"]) <= payload["final_residual_bound"] + 1e-10
 
 
+def test_greedy_edge_band_is_admitted(capsys):
+    # a decimal entry of 1/sqrt(2) that the threshold admits gets a division
+    code, out, err = invoke(capsys, "greedy", "--q", "0.70710678118555", "--scoops", "4")
+    assert code == 0, err
+    assert json.loads(out)["signs"] == "+--+"
+
+
 def test_greedy_below_threshold_is_domain_error(capsys):
     code, _, err = invoke(capsys, "greedy", "--q", "0.6", "--scoops", "10")
     assert code == 2
@@ -157,6 +164,19 @@ def test_construct_failure_exit(capsys):
     code, out, _ = invoke(capsys, "construct", "--q", "0.55", "--scoops", "50")
     assert code == 1
     assert json.loads(out)["failure"]["family"] == "gap"
+
+
+def test_construct_text_failure_matches_certify(capsys):
+    for extra in ((), ("--N", "4")):
+        code, out, _ = invoke(
+            capsys, "construct", "--q", "0.55", "--scoops", "10", *extra, "--format", "text"
+        )
+        certify_code, certify_out, _ = invoke(
+            capsys, "certify", "--q", "0.55", *extra, "--format", "text"
+        )
+        assert code == certify_code == 1
+        assert out == certify_out
+        assert out.startswith("not certified: gap inequality fails at n=1")
 
 
 def test_simulate_csv(capsys):
@@ -200,6 +220,21 @@ def test_simulate_signs_reading_both_ways_is_refused(tmp_path, monkeypatch, caps
     code_inline, out_inline, _ = invoke(capsys, "simulate", "--q", "0.5", "--signs=-+")
     assert code_file == code_inline == 0
     assert out_file == out_inline
+
+
+def test_simulate_signs_leading_minus_needs_equals(tmp_path, capsys):
+    # argparse reads a detached value starting with '-' as an option
+    code, out, err = invoke(capsys, "simulate", "--q", "0.5", "--signs", "-+")
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" in err
+    sign_file = tmp_path / "signs.txt"
+    sign_file.write_text("-\n+\n")
+    code_inline, out_inline, _ = invoke(capsys, "simulate", "--q", "0.5", "--signs=-+")
+    code_file, out_file, _ = invoke(capsys, "simulate", "--q", "0.5", "--signs", str(sign_file))
+    assert code_inline == code_file == 0
+    assert out_inline == out_file
+    assert out_inline.splitlines()[1].startswith("1,-1,")
 
 
 def test_simulate_json_summary(capsys):

@@ -1,13 +1,15 @@
 """Core types and evaluation against naive term-by-term oracles."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import soupdiv
 from soupdiv import (
     DomainError,
-    EvalOptions,
     InputError,
     PMPattern,
     SignSeq,
@@ -162,10 +164,16 @@ def test_eval_accepts_all_sign_forms():
         assert eval_pm(form, 0.5) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_eval_options_validation():
-    assert EvalOptions().zero_tol == 1e-12
-    with pytest.raises(InputError):
-        EvalOptions(zero_tol=-1e-9)
+def test_tolerances_declared_only_in_policy_block():
+    # each tolerance literal of the package appears once, as a core constant
+    policy = {"TOL": 1e-12, "TRACE_TOL_PER_SCOOP": 1e-15, "ROOT_MATCH_WINDOW": 1e-9}
+    assert {name: getattr(soupdiv.core, name) for name in policy} == policy
+    literals = []
+    for path in sorted(Path(soupdiv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in policy.values():
+                literals.append((path.name, node.value))
+    assert sorted(literals) == sorted(("core.py", v) for v in policy.values())
 
 
 def test_bisect_root_brackets():

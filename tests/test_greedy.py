@@ -1,126 +1,99 @@
-"""Greedy pairing: the gap-versus-tail condition and the sign construction."""
+"""Greedy pairing of the geometric series: admission, signs and the pair-tail bound."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soupdiv import (
-    Condition1Error,
     DomainError,
     INV_SQRT2,
     InputError,
-    PairedSeries,
-    check_condition1,
     geometric_fair_division,
-    greedy_balance,
     prefix_diagnostics,
 )
-
-
-def geometric_series(q, n_pairs):
-    return PairedSeries.geometric(q, n_pairs)
+from soupdiv.core import TOL
 
 
 def closed_form_tail(q, k):
     return q ** (2 * k + 1) / (1.0 + q)
 
 
+def pair_residuals(q, n_scoops):
+    """Residuals r_2k after each pair, k = 1 .. n_scoops/2."""
+    _, residuals = prefix_diagnostics(geometric_fair_division(q, n_scoops), q)
+    return residuals[1::2]
+
+
 def test_condition1_geometric_holds_above_threshold():
-    holds, violation = check_condition1(geometric_series(0.75, 100))
-    assert holds and violation is None
+    # above the threshold every gap is strictly below its tail, so the
+    # residual stays within the tail with no headroom while the tail is
+    # far above the double-precision noise floor
+    for q in (0.75, 0.9):
+        for k, r in enumerate(pair_residuals(q, 60), start=1):
+            assert abs(r) <= closed_form_tail(q, k), (q, k)
 
 
 def test_condition1_equality_at_threshold():
-    series = geometric_series(INV_SQRT2, 100)
-    holds, _ = check_condition1(series)
-    assert holds
-    # (1-q)(1+q) = q^2 exactly when q^2 = 1/2, so gap and tail coincide
-    for bk, tk in zip(series.b, series.tail):
-        assert bk == pytest.approx(tk, rel=1e-12)
-
-
-def test_condition1_reports_smallest_violation():
-    series = PairedSeries(b=(3.0, 2.0, 1.0), tail=(3.0, 1.0, 0.0))
-    assert check_condition1(series) == (False, 2)
-
-
-def test_paired_series_validation():
-    with pytest.raises(InputError):
-        PairedSeries(b=(1.0, 2.0), tail=(1.0,))
-    with pytest.raises(InputError):
-        PairedSeries(b=(-1.0,), tail=(0.0,))
-    with pytest.raises(InputError):
-        PairedSeries(b=(), tail=())
-    with pytest.raises(InputError):
-        # tail chain broken: tail[0] != tail[1] + b[1]
-        PairedSeries(b=(1.0, 1.0), tail=(5.0, 0.0))
-
-
-def test_from_gaps_builds_suffix_tails():
-    series = PairedSeries.from_gaps([3.0, 2.0, 1.0])
-    assert series.tail == (3.0, 1.0, 0.0)
+    # (1-q)(1+q) = q^2 exactly when q^2 = 1/2, so gap and tail coincide and
+    # the greedy residual meets its bound with equality: every pair after
+    # the first is '-'
+    q = INV_SQRT2
+    seq = geometric_fair_division(q, 40)
+    assert seq.to_text() == "+-" + "-+" * 19
+    for k, r in enumerate(pair_residuals(q, 40), start=1):
+        assert r == pytest.approx(closed_form_tail(q, k), rel=1e-6)
 
 
 def test_greedy_symmetric_cancellation():
-    series = PairedSeries(b=(1.0, 1.0), tail=(1.0, 0.0))
-    assert greedy_balance(series) == [1, -1]
+    # the second pair opposes the first across the whole admitted range
+    for q in (INV_SQRT2 - TOL, INV_SQRT2, 0.75, 0.99):
+        assert geometric_fair_division(q, 4).to_text() == "+--+"
 
 
 def test_greedy_hand_executed():
-    series = PairedSeries(b=(1.0, 0.6, 0.5), tail=(1.1, 0.5, 0.0))
-    signs = greedy_balance(series)
-    assert signs == [1, -1, -1]
-    partials = []
-    total = 0.0
-    for s, bk in zip(signs, series.b):
-        total += s * bk
-        partials.append(total)
-    assert partials == pytest.approx([1.0, 0.4, -0.1], abs=1e-15)
-
-
-def test_greedy_enforcement_names_index():
-    series = PairedSeries(b=(3.0, 2.0, 1.0), tail=(3.0, 1.0, 0.0))
-    with pytest.raises(Condition1Error) as excinfo:
-        greedy_balance(series, require_condition1=True)
-    assert excinfo.value.index == 2
+    # q = 3/4: gaps 3/16, 27/256, 243/4096 are exact in binary
+    q = 0.75
+    seq = geometric_fair_division(q, 6)
+    assert seq.to_text() == "+--+-+"
+    assert pair_residuals(q, 6) == [0.1875, 0.08203125, 0.022705078125]
 
 
 def test_greedy_bound_geometric():
     q = 0.75
-    series = geometric_series(q, 100)
-    signs = greedy_balance(series, require_condition1=True)
-    partial = 0.0
-    for k, (sign, bk) in enumerate(zip(signs, series.b), start=1):
-        partial += sign * bk
-        assert abs(partial) <= closed_form_tail(q, k) + 1e-10
+    for k, r in enumerate(pair_residuals(q, 200), start=1):
+        assert abs(r) <= closed_form_tail(q, k) + 1e-10
 
 
 def test_greedy_bound_random_geometric_families():
-    # c * r^k with r >= 1/2 satisfies the pairing condition at every k
+    # gaps c * r^k with r >= 1/2 satisfy the pairing condition at every k;
+    # the soup's gaps are that family with r = q^2 and c = (1-q)/q
     rng = random.Random(2024)
     for _ in range(20):
-        r = rng.uniform(0.55, 0.95)
-        c = rng.uniform(0.1, 10.0)
-        n = rng.randint(3, 60)
-        b = tuple(c * r**k for k in range(1, n + 1))
-        tail = tuple(c * r ** (k + 1) / (1.0 - r) for k in range(1, n + 1))
-        series = PairedSeries(b, tail)
-        signs = greedy_balance(series, require_condition1=True)
-        partial = 0.0
-        for k, (sign, bk) in enumerate(zip(signs, series.b)):
-            partial += sign * bk
-            assert abs(partial) <= series.tail[k] + 1e-10
+        q = math.sqrt(rng.uniform(0.55, 0.95))
+        n_pairs = rng.randint(3, 60)
+        for k, r in enumerate(pair_residuals(q, 2 * n_pairs), start=1):
+            assert abs(r) <= closed_form_tail(q, k) + 1e-10, (q, k)
 
 
-def test_greedy_is_online():
-    rng = random.Random(5)
-    r = 0.7
-    b = tuple(r**k for k in range(1, 31))
-    tail = tuple(r ** (k + 1) / (1.0 - r) for k in range(1, 31))
-    full = greedy_balance(PairedSeries(b, tail))
-    for cut in (1, 5, 17, 29):
-        prefix = greedy_balance(PairedSeries(b[:cut], tail[:cut]))
-        assert prefix == full[:cut]
+@settings(deadline=None)
+@given(
+    q=st.floats(min_value=INV_SQRT2 - TOL, max_value=0.999),
+    n_pairs=st.integers(1, 2000),
+    extra_pairs=st.integers(1, 500),
+)
+def test_greedy_pair_tail_bound_property(q, n_pairs, extra_pairs):
+    n = 2 * n_pairs
+    seq = geometric_fair_division(q, n)
+    sums, residuals = prefix_diagnostics(seq, q)
+    assert all(s in (-1, 0, 1) for s in sums)
+    assert all(s == 0 for s in sums[1::2])
+    for k, r in enumerate(residuals[1::2], start=1):
+        assert abs(r) <= closed_form_tail(q, k) + 1e-11, (q, k)
+    # the rule is online: a longer division extends the shorter one
+    longer = geometric_fair_division(q, n + 2 * extra_pairs)
+    assert longer.signs[:n] == seq.signs
 
 
 def test_geometric_division_starts_plus_minus():
@@ -152,6 +125,19 @@ def test_geometric_division_threshold():
     geometric_fair_division(INV_SQRT2 - 5e-13, 4)
     with pytest.raises(DomainError):
         geometric_fair_division(0.70710, 4)
+
+
+def test_geometric_division_edge_band():
+    # the whole band the threshold admits yields a division, and its bound
+    # holds to 1e-11; the next float down is refused
+    q = INV_SQRT2 - 1e-12
+    seq = geometric_fair_division(q, 2000)
+    sums, residuals = prefix_diagnostics(seq, q)
+    assert all(s in (-1, 0, 1) for s in sums)
+    for k in range(1, 1001):
+        assert abs(residuals[2 * k - 1]) <= closed_form_tail(q, k) + 1e-11, k
+    with pytest.raises(DomainError):
+        geometric_fair_division(math.nextafter(INV_SQRT2 - TOL, 0.0), 4)
 
 
 def test_geometric_division_scoop_validation():

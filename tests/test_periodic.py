@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import soupdiv.periodic as periodic
 from soupdiv import (
-    EvalOptions,
     InputError,
     PMPattern,
     classify_periodic,
@@ -19,8 +18,8 @@ from soupdiv import (
     pattern_roots,
     prefix_diagnostics,
 )
-from soupdiv.core import bisect_root
-from soupdiv.periodic import DEFAULT_ROOT_TOL, MAX_SEARCH_PATTERNS, require_search_budget
+from soupdiv.core import TOL, bisect_root
+from soupdiv.periodic import MAX_SEARCH_PATTERNS, require_search_budget
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN = "+---++"
@@ -55,9 +54,15 @@ def test_classify_unbalanced_sign_sum():
 
 
 def test_classify_respects_zero_tol():
-    # the verdict is a declared-tolerance statement, not an exact-real one
+    # the verdict is a statement at the declared tolerance core.TOL, not an
+    # exact-real one: the golden root is fair, a point 1e-9 away is not
     assert not classify_periodic("+-", 0.5).fair
-    assert classify_periodic("+-", 0.5, EvalOptions(zero_tol=0.3)).fair
+    at_root = classify_periodic(GOLDEN, PHI_INV)
+    assert at_root.fair and at_root.residual_abs <= TOL
+    nearby = classify_periodic(GOLDEN, PHI_INV + 1e-9)
+    assert nearby.sign_sum == 0
+    assert nearby.residual_abs > TOL
+    assert not nearby.fair
 
 
 def test_enumerate_small_degrees():
@@ -96,7 +101,7 @@ def test_golden_pattern_root():
     assert abs(eval_pm(GOLDEN, report.roots[0])) <= 2e-12
 
 
-def _grid_roots(signs, grid, root_tol=DEFAULT_ROOT_TOL):
+def _grid_roots(signs, grid, root_tol=TOL):
     """Oracle: the grid finder that pattern_roots used before exact isolation.
 
     Samples grid+1 equispaced points in [d, 1-d] with d = 1/(2*grid) (the
@@ -165,7 +170,7 @@ def test_roots_are_exact_sign_brackets(signs):
     pattern = PMPattern(tuple(signs))
     roots = pattern_roots(pattern).roots
     assert pattern_roots(pattern.negated()).roots == roots
-    tol = Fraction(DEFAULT_ROOT_TOL)
+    tol = Fraction(TOL)
     for r in map(Fraction, roots):
         lo, hi = _exact_value(signs, r - tol), _exact_value(signs, r + tol)
         assert _exact_value(signs, r) == 0 or lo == 0 or hi == 0 or (lo < 0) != (hi < 0)
@@ -180,10 +185,10 @@ def test_roots_are_exact_sign_brackets(signs):
     ],
 )
 def test_unit_interval_roots_repeated_and_dyadic(coeffs, expected):
-    roots = periodic._unit_interval_roots(coeffs, DEFAULT_ROOT_TOL)
+    roots = periodic._unit_interval_roots(coeffs, TOL)
     assert len(roots) == len(expected)
     for r, e in zip(roots, expected):
-        assert abs(r - e) <= DEFAULT_ROOT_TOL
+        assert abs(r - e) <= TOL
 
 
 def test_pattern_roots_validation():
