@@ -10,7 +10,8 @@ geometric residual) evenly, and numerically checks every bound involved:
 * :mod:`soupdiv.periodic` -- periodic fairness and exhaustive root search;
 * :mod:`soupdiv.approx` -- covering certificates and block constructions
   for q above the quartic threshold (about 0.5845751);
-* :mod:`soupdiv.sim` -- physical simulator, fairness reports, classifier;
+* :mod:`soupdiv.sim` -- physical simulator (column-stored traces), fairness
+  reports, classifier;
 * :mod:`soupdiv.cli` -- the ``soupdiv`` command.
 """
 

@@ -32,6 +32,7 @@ returns to zero at every block end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -55,6 +56,9 @@ class CertificateError(RuntimeError):
         )
 
 
+# Memoized: construct_bounded asks for one pattern per block, nearly always a
+# short one, and PMPattern is frozen, so callers can share the instances.
+@functools.lru_cache(maxsize=DEFAULT_N_MAX, typed=True)
 def pn_pattern(n: int) -> PMPattern:
     """Alternating balanced pattern of degree 2n: '+' at exponent 1, then
     sign (-1)^i at exponents 2..2n-1, then '-' at exponent 2n."""

@@ -124,6 +124,14 @@ class PMPattern:
         object.__setattr__(self, "signs", signs)
 
     @classmethod
+    def _trusted(cls, signs: tuple[int, ...]) -> "PMPattern":
+        """Skip validation, for callers whose signs are +1/-1 and balanced by
+        construction; every other caller goes through ``PMPattern(...)``."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "signs", signs)
+        return pattern
+
+    @classmethod
     def from_text(cls, text: str) -> "PMPattern":
         return cls(parse_signs(text))
 

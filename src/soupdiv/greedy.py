@@ -22,6 +22,12 @@ from .core import TOL, DomainError, InputError, SignSeq, require_unit_open
 INV_SQRT2 = math.sqrt(0.5)
 
 
+def in_greedy_regime(q: float) -> bool:
+    """The one admission test of the greedy regime, q >= 1/sqrt(2) - TOL,
+    shared by :func:`geometric_fair_division` and ``sim.classify``."""
+    return q >= INV_SQRT2 - TOL
+
+
 def geometric_fair_division(q: float, n_scoops: int) -> SignSeq:
     """Greedy scoop division for q >= 1/sqrt(2), paired as (+,-) / (-,+).
 
@@ -33,7 +39,7 @@ def geometric_fair_division(q: float, n_scoops: int) -> SignSeq:
     is bounded by q^(2k+1)/(1+q).
     """
     require_unit_open(q)
-    if q < INV_SQRT2 - TOL:
+    if not in_greedy_regime(q):
         raise DomainError(
             f"q={q!r} is below the greedy threshold 1/sqrt(2)={INV_SQRT2!r}; "
             "for smaller q use a covering certificate construction "

@@ -104,7 +104,7 @@ def enumerate_balanced(n: int) -> Iterator[PMPattern]:
         signs = [-1] * n
         for pos in plus_positions:
             signs[pos] = 1
-        yield PMPattern(tuple(signs))
+        yield PMPattern._trusted(tuple(signs))
 
 
 def require_search_budget(max_degree: int) -> int:

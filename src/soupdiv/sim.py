@@ -8,6 +8,14 @@ residual sum_{i<=k} s_i q^i with factor (1-q)/q; the simulator computes the
 deliveries independently so that identity can be verified rather than
 assumed.
 
+A trace is stored by column (:class:`SimulationTrace`): the signs, and after
+every scoop the whole-scoop imbalance and the surface stuff on each plate,
+in stdlib arrays of 8 bytes per scoop each. The other fields of the CSV
+schema follow from these, so :attr:`SimulationTrace.rows` is a read-only
+view that builds a :class:`TraceRow` only when one is read; a 10^5-scoop
+trace takes about 3 MiB instead of one object per scoop. The deliveries
+themselves (one dissolved unit, and (1-q) * q^(i-1)) are not stored.
+
 Verdicts of :func:`fairness_report` are observational statements about the
 finite trace, never proofs about the limit. Likewise :func:`classify` is
 threshold-driven: below 1/2 no fair division exists, above 1/sqrt(2) the
@@ -22,8 +30,10 @@ from __future__ import annotations
 
 import csv
 import enum
+from array import array
 from dataclasses import dataclass
-from typing import Callable, IO, Optional, Union
+from itertools import count
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .approx import (
     Q_INF,
@@ -36,16 +46,15 @@ from .core import (
     ROOT_MATCH_WINDOW, TOL, TRACE_TOL_PER_SCOOP, InputError, Signs, as_signs, bisect_root,
     eval_pm, geometric_tail, require_unit_open,
 )
-from .greedy import INV_SQRT2
+from .greedy import INV_SQRT2, in_greedy_regime
 from .periodic import PMPattern, enumerate_balanced, require_search_budget
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One scoop of a trace, in the CSV schema's column order."""
+
     index: int
     sign: int
-    stuff1_delivered: int
-    stuff2_delivered: float
     stuff1_plus: int
     stuff1_minus: int
     stuff2_plus: float
@@ -54,21 +63,69 @@ class TraceRow:
     imbalance2: float
 
 
+def _row(k: int, s: int, d: int, plus2: float, minus2: float) -> TraceRow:
+    # k scoops split as (k + d)/2 and (k - d)/2, and k, d share parity.
+    return TraceRow(k, s, (k + d) // 2, (k - d) // 2, plus2, minus2, d, plus2 - minus2)
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
+    """A simulated run, stored by column: after scoop k (1-based) the
+    whole-scoop imbalance is ``imbalance1[k-1]`` and the surface stuff on
+    the plates is ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``. Every
+    other :class:`TraceRow` field follows from these; :attr:`rows` builds
+    rows on demand."""
+
     q: float
-    rows: tuple[TraceRow, ...]
+    signs: tuple[int, ...]
+    imbalance1: array  # typecode "q"
+    stuff2_plus: array  # typecode "d"
+    stuff2_minus: array  # typecode "d"
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.signs)
+
+    @property
+    def rows(self) -> "TraceRows":
+        return TraceRows(self)
 
     @property
     def final(self) -> TraceRow:
         return self.rows[-1]
 
 
+class TraceRows(Sequence[TraceRow]):
+    """Read-only row view of a :class:`SimulationTrace`; a row is built only
+    when it is read, so a long trace never holds one object per scoop."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: SimulationTrace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, i: int) -> TraceRow:
+        t = self._trace
+        if i < 0:
+            i += len(t)
+        if not 0 <= i < len(t):
+            raise IndexError("trace row index out of range")
+        return _row(i + 1, t.signs[i], t.imbalance1[i], t.stuff2_plus[i], t.stuff2_minus[i])
+
+    def __iter__(self) -> Iterator[TraceRow]:
+        t = self._trace
+        return map(_row, count(1), t.signs, t.imbalance1, t.stuff2_plus, t.stuff2_minus)
+
+
 def simulate(q: float, signs: Signs, steps: Optional[int] = None) -> SimulationTrace:
-    """Run the division for ``steps`` scoops (default: all supplied signs)."""
+    """Run the division for ``steps`` scoops (default: all supplied signs).
+
+    The surface delivery of scoop i is (1-q) * q^(i-1), with q^(i-1) built by
+    repeated multiplication and added to its plate in scoop order; the
+    stored columns depend on that order down to the last bit.
+    """
     require_unit_open(q)
     sign_tuple = as_signs(signs)
     if steps is None:
@@ -79,35 +136,23 @@ def simulate(q: float, signs: Signs, steps: Optional[int] = None) -> SimulationT
         raise InputError(
             f"steps={steps} exceeds the supplied sign sequence length {len(sign_tuple)}"
         )
-    rows: list[TraceRow] = []
-    plus1 = minus1 = 0
+    sign_tuple = sign_tuple[:steps]
+    imbalance1, stuff2_plus, stuff2_minus = array("q"), array("d"), array("d")
+    d = 0
     plus2 = minus2 = 0.0
     surface_power = 1.0  # q^(i-1)
-    for i in range(1, steps + 1):
-        s = sign_tuple[i - 1]
+    for s in sign_tuple:
         delivered2 = (1.0 - q) * surface_power
         surface_power *= q
         if s > 0:
-            plus1 += 1
             plus2 += delivered2
         else:
-            minus1 += 1
             minus2 += delivered2
-        rows.append(
-            TraceRow(
-                index=i,
-                sign=s,
-                stuff1_delivered=1,
-                stuff2_delivered=delivered2,
-                stuff1_plus=plus1,
-                stuff1_minus=minus1,
-                stuff2_plus=plus2,
-                stuff2_minus=minus2,
-                imbalance1=plus1 - minus1,
-                imbalance2=plus2 - minus2,
-            )
-        )
-    return SimulationTrace(q=q, rows=tuple(rows))
+        d += s
+        imbalance1.append(d)
+        stuff2_plus.append(plus2)
+        stuff2_minus.append(minus2)
+    return SimulationTrace(q, sign_tuple, imbalance1, stuff2_plus, stuff2_minus)
 
 
 class Verdict(enum.Enum):
@@ -168,20 +213,21 @@ def fairness_report(
     divergence signature (the all-'+' division reaches it immediately);
     everything else is Inconclusive.
     """
-    if not trace.rows:
+    n = len(trace)
+    if not n:
         raise InputError("cannot report on an empty trace")
-    max_abs1 = max(abs(row.imbalance1) for row in trace.rows)
-    final2 = trace.final.imbalance2
+    max_abs1 = max(max(trace.imbalance1), -min(trace.imbalance1))
+    final2 = trace.stuff2_plus[-1] - trace.stuff2_minus[-1]
     pairs: list[tuple[int, float]] = []
     enveloped_ok = True
     if envelope is not None:
-        for row in trace.rows:
-            bound = envelope(row.index)
+        for k, plus2, minus2 in zip(count(1), trace.stuff2_plus, trace.stuff2_minus):
+            bound = envelope(k)
             if bound is not None:
-                pairs.append((row.index, bound))
-                budget = row.index * TRACE_TOL_PER_SCOOP
-                enveloped_ok = enveloped_ok and abs(row.imbalance2) <= bound + budget
-    if 2 * abs(trace.final.imbalance1) >= len(trace.rows):
+                pairs.append((k, bound))
+                budget = k * TRACE_TOL_PER_SCOOP
+                enveloped_ok = enveloped_ok and abs(plus2 - minus2) <= bound + budget
+    if 2 * abs(trace.imbalance1[-1]) >= n:
         verdict = Verdict.DIVERGING
     elif (
         pairs
@@ -222,8 +268,9 @@ class FeasibilityClass:
 def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     """Place q into the known feasibility regimes.
 
-    q <= 1/2 is infeasible with witness gap q - sum_{i>=2} q^i >= 0; above
-    1/sqrt(2) the greedy pairing applies; above the quartic threshold the
+    q <= 1/2 is infeasible with witness gap q - sum_{i>=2} q^i >= 0; where
+    :func:`greedy.in_greedy_regime` admits q (1/sqrt(2) and up, less
+    ``core.TOL``) the greedy pairing applies; above the quartic threshold the
     covering certificate applies (the auto-certificate outcome is attached
     as the witness). In the open window every balanced pattern of degree
     <= ``search_degree`` is tested for a sign change on
@@ -240,7 +287,7 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
             kind=FeasibilityKind.INFEASIBLE,
             witness_gap=q - geometric_tail(q, 1),
         )
-    if q >= INV_SQRT2:
+    if in_greedy_regime(q):
         return FeasibilityClass(
             kind=FeasibilityKind.BOUNDED_FAIR_GREEDY, threshold=INV_SQRT2
         )
@@ -265,28 +312,11 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
 def write_trace_csv(trace: SimulationTrace, stream: IO[str]) -> None:
     """Write the trace in the documented CSV schema (one row per scoop)."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        [
-            "i",
-            "sign",
-            "stuff1_plus",
-            "stuff1_minus",
-            "stuff2_plus",
-            "stuff2_minus",
-            "imbalance1",
-            "imbalance2",
-        ]
-    )
-    for row in trace.rows:
-        writer.writerow(
-            [
-                row.index,
-                row.sign,
-                row.stuff1_plus,
-                row.stuff1_minus,
-                f"{row.stuff2_plus:.15g}",
-                f"{row.stuff2_minus:.15g}",
-                row.imbalance1,
-                f"{row.imbalance2:.15g}",
-            ]
+    writer.writerow(("i", *TraceRow._fields[1:]))
+    writer.writerows(
+        (k, s, (k + d) // 2, (k - d) // 2, f"{plus2:.15g}", f"{minus2:.15g}", d,
+         f"{plus2 - minus2:.15g}")
+        for k, s, d, plus2, minus2 in zip(
+            count(1), trace.signs, trace.imbalance1, trace.stuff2_plus, trace.stuff2_minus
         )
+    )

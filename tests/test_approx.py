@@ -25,6 +25,7 @@ from soupdiv import (
     sqrt3_necessary,
     verify_certificate,
 )
+from soupdiv.approx import DEFAULT_N_MAX
 
 # frozen from a 200-step exact-rational bisection of x^4 + x^3 + 2x^2 - 1
 Q_INF_REFERENCE = 0.5845751333644155
@@ -43,6 +44,14 @@ def test_pn_pattern_small_cases():
     assert pn_pattern(1).to_text() == "+-"
     assert pn_pattern(2).to_text() == "++--"
     assert pn_pattern(3).to_text() == "++-+--"
+
+
+def test_pn_pattern_is_memoized_and_bounded():
+    assert pn_pattern(5) is pn_pattern(5)
+    assert pn_pattern.cache_info().maxsize == DEFAULT_N_MAX
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(InputError):
+            pn_pattern(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 30])

@@ -127,6 +127,13 @@ def test_greedy_edge_band_is_admitted(capsys):
     assert json.loads(out)["signs"] == "+--+"
 
 
+def test_classify_edge_band_is_greedy(capsys):
+    # the q that greedy admits above is classified in the greedy regime too
+    code, out, _ = invoke(capsys, "classify", "--q", "0.70710678118555")
+    assert code == 0
+    assert json.loads(out)["class"] == "BoundedFairGreedy"
+
+
 def test_greedy_below_threshold_is_domain_error(capsys):
     code, _, err = invoke(capsys, "greedy", "--q", "0.6", "--scoops", "10")
     assert code == 2

@@ -131,6 +131,8 @@ def test_pattern_requires_balance():
         PMPattern.from_text("++")
     with pytest.raises(InputError):
         PMPattern(())
+    with pytest.raises(InputError):
+        PMPattern((2, -2))  # sum zero, but not signs
     assert PMPattern.from_text("+-").degree == 2
 
 

@@ -83,6 +83,16 @@ def test_enumerate_lexicographic_and_balanced():
     assert all(sum(p.signs) == 0 for p in enumerate_balanced(6))
 
 
+def test_enumerated_patterns_equal_validated_ones():
+    # enumeration skips validation; every pattern it yields must still be
+    # one the validating constructor accepts unchanged
+    for n in (2, 4, 6, 8, 10):
+        for pattern in enumerate_balanced(n):
+            assert type(pattern) is PMPattern
+            assert type(pattern.signs) is tuple
+            assert PMPattern(pattern.signs) == pattern
+
+
 def test_enumerate_validation():
     with pytest.raises(InputError):
         list(enumerate_balanced(0))

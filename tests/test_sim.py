@@ -1,13 +1,19 @@
 """Simulator conservation and identities, fairness verdicts, the classifier."""
 
+import csv
+import io
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import soupdiv.sim as sim
 from soupdiv import (
+    INV_SQRT2,
     Certificate,
+    DomainError,
     FeasibilityKind,
     InputError,
     PMPattern,
@@ -23,16 +29,23 @@ from soupdiv import (
     prefix_diagnostics,
     q_infinity,
     simulate,
+    write_trace_csv,
 )
+from soupdiv.core import TOL
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def test_simulate_deliveries_q_half():
     trace = simulate(0.5, "+-+-")
-    # (1-q) q^(i-1) = 2^-i is exact in binary floating point
-    assert [row.stuff2_delivered for row in trace.rows] == [0.5, 0.25, 0.125, 0.0625]
-    assert [row.stuff1_delivered for row in trace.rows] == [1, 1, 1, 1]
+    # (1-q) q^(i-1) = 2^-i is exact in binary floating point, so the plates
+    # hold exact partial sums of 1/2, 1/4, 1/8, 1/16 in sign order
+    rows = list(trace.rows)
+    assert [row.stuff2_plus for row in rows] == [0.5, 0.5, 0.625, 0.625]
+    assert [row.stuff2_minus for row in rows] == [0.0, 0.25, 0.25, 0.3125]
+    # one whole scoop of the dissolved stuff per scoop
+    assert [row.stuff1_plus + row.stuff1_minus for row in rows] == [1, 2, 3, 4]
+    assert [row.index for row in rows] == [1, 2, 3, 4]
     assert trace.final.imbalance2 == 0.3125
 
 
@@ -68,6 +81,84 @@ def test_simulate_step_validation():
     with pytest.raises(InputError):
         simulate(0.5, "+-", steps=0)
     assert len(simulate(0.5, "+-+-", steps=2)) == 2
+
+
+def reference_simulate(q, signs, steps):
+    """Row-at-a-time simulator and CSV writer kept as the reference for the
+    columnar trace: one tuple per scoop in CSV column order, the same float
+    operations in the same order, and the CSV text they print as."""
+    rows = []
+    plus1 = minus1 = 0
+    plus2 = minus2 = 0.0
+    surface_power = 1.0
+    for i in range(1, steps + 1):
+        s = signs[i - 1]
+        delivered2 = (1.0 - q) * surface_power
+        surface_power *= q
+        if s > 0:
+            plus1 += 1
+            plus2 += delivered2
+        else:
+            minus1 += 1
+            minus2 += delivered2
+        rows.append((i, s, plus1, minus1, plus2, minus2, plus1 - minus1, plus2 - minus2))
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["i", "sign", "stuff1_plus", "stuff1_minus", "stuff2_plus",
+                     "stuff2_minus", "imbalance1", "imbalance2"])
+    for i, s, p1, m1, p2, m2, d1, d2 in rows:
+        writer.writerow([i, s, p1, m1, f"{p2:.15g}", f"{m2:.15g}", d1, f"{d2:.15g}"])
+    return rows, stream.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.floats(min_value=1e-3, max_value=0.999),
+    signs=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=500),
+    data=st.data(),
+)
+def test_simulate_conservation_property(q, signs, data):
+    steps = data.draw(st.integers(1, len(signs)), label="steps")
+    trace = simulate(q, signs, steps=steps)
+    rows = trace.rows
+    listed = list(rows)
+    assert len(trace) == len(rows) == len(listed) == steps
+    _, residuals = prefix_diagnostics(signs[:steps], q)
+    scale = (1.0 - q) / q
+    for k, row in enumerate(listed, start=1):
+        assert row.index == k and row.sign == signs[k - 1]
+        assert row.stuff1_plus + row.stuff1_minus == k
+        assert row.stuff1_plus - row.stuff1_minus == row.imbalance1
+        assert abs(row.stuff2_plus + row.stuff2_minus + q**k - 1.0) <= 1e-12
+        assert abs(row.imbalance2 - scale * residuals[k - 1]) <= k * 1e-15
+    # the row view agrees with itself
+    for i in range(steps):
+        assert rows[i] == listed[i]
+        assert rows[i - steps] == listed[i]
+    assert rows[-1] == trace.final == listed[-1]
+    for bad in (steps, -steps - 1):
+        with pytest.raises(IndexError):
+            rows[bad]
+    # bit-identical to the row-at-a-time reference, CSV bytes included
+    reference_rows, reference_csv = reference_simulate(q, signs, steps)
+    assert [tuple(row) for row in listed] == reference_rows
+    stream = io.StringIO()
+    write_trace_csv(trace, stream)
+    assert stream.getvalue() == reference_csv
+
+
+def test_simulate_peak_memory_is_columnar():
+    # 10^5 scoops: three 8-byte columns plus the sign tuple, not one object
+    # per scoop (the row-per-scoop trace peaked at about 30 MiB)
+    signs = tuple(geometric_fair_division(0.75, 100_000).signs)
+    tracemalloc.start()
+    try:
+        trace = simulate(0.75, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 100_000
+    assert peak <= 5 * 2**20, peak / 2**20
 
 
 def test_golden_period_imbalance_returns_to_zero():
@@ -131,6 +222,18 @@ def test_classify_infeasible():
 def test_classify_greedy_regime():
     assert classify(0.75).kind is FeasibilityKind.BOUNDED_FAIR_GREEDY
     assert classify(math.sqrt(0.5)).kind is FeasibilityKind.BOUNDED_FAIR_GREEDY
+
+
+def test_classify_and_greedy_share_the_regime_boundary():
+    # a decimal entry of 1/sqrt(2) inside the admission band is greedy for
+    # both; the first float below the band is greedy for neither
+    below = math.nextafter(INV_SQRT2 - TOL, 0.0)
+    for q in (0.70710678118555, INV_SQRT2 - TOL, INV_SQRT2 - 5e-13, INV_SQRT2):
+        assert classify(q).kind is FeasibilityKind.BOUNDED_FAIR_GREEDY, q
+        assert len(geometric_fair_division(q, 4)) == 4
+    assert classify(below).kind is FeasibilityKind.BOUNDED_FAIR_CERTIFICATE
+    with pytest.raises(DomainError):
+        geometric_fair_division(below, 4)
 
 
 def test_classify_certificate_regime():
