@@ -89,8 +89,8 @@ def qinf_poly(x: float) -> float:
 
 def q_infinity(tol: float = TOL) -> float:
     """Root of :func:`qinf_poly` in (0.5, 0.6) by bisection to width <= tol."""
-    if not tol > 0.0:
-        raise InputError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be finite and positive, got {tol!r}")
     lo, hi = _QINF_BRACKET
     if not (qinf_poly(lo) < 0.0 < qinf_poly(hi)):
         raise RuntimeError("sign bracket for the threshold quartic is broken")

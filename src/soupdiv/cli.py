@@ -160,8 +160,6 @@ def _load_signs(value: str) -> SignSeq:
 
 
 def _cmd_qinf(args: argparse.Namespace) -> int:
-    if not args.tol > 0.0:
-        raise DomainError(f"--tol must be positive, got {args.tol!r}")
     root = q_infinity(args.tol)
     if args.format == "json":
         payload = {"q_inf": root, "tol": args.tol, "poly_residual": qinf_poly(root)}

@@ -17,21 +17,30 @@ distinct periodic divisions and are searched separately; the global
 negation of a hit is always a hit with the same roots (plate swap), so
 each hit records its negation partner.
 
-Searches over all balanced patterns (:func:`min_period_search`, and the
-open-window branch of ``sim.classify``) grow like 2^n/sqrt(n) in the
-degree, so they refuse up front when more than :data:`MAX_SEARCH_PATTERNS`
-patterns would be enumerated.
+:func:`min_period_search` enumerates every balanced pattern, a count that
+grows like 2^n/sqrt(n) in the degree, so it refuses up front when more than
+:data:`MAX_SEARCH_PATTERNS` patterns would be enumerated.
+
+The open-window branch of ``sim.classify`` asks a narrower question: which
+is the first balanced pattern that changes sign on a short window around q?
+:func:`first_bracketed_pattern` answers it by a depth-first search over sign
+prefixes that drops every prefix whose completions all keep one sign on the
+window; at degree 12 it visits about 70 nodes, where enumerating would
+evaluate 1,274 patterns. It refuses degrees above
+:data:`MAX_MEMBERSHIP_DEGREE` up front and stops after
+:data:`MAX_MEMBERSHIP_NODES` visited nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import comb, gcd
-from typing import Iterator
+from math import comb, gcd, inf
+from typing import Iterator, Optional
 
 from .core import (
     TOL,
+    DomainError,
     InputError,
     PMPattern,
     Signs,
@@ -46,6 +55,13 @@ from .core import (
 # through that degree; min_period_search(18) takes about 20 s on one Xeon
 # core) is admitted; degree 20 (250,952) and up is refused.
 MAX_SEARCH_PATTERNS = 100_000
+
+# Limits of first_bracketed_pattern: the largest degree it searches (its
+# rounding argument assumes at most 64 terms) and the most prefix nodes one
+# call may visit. Over 2,000 seeded q in the open window the worst call
+# visits about 6,200 nodes at degree 64.
+MAX_MEMBERSHIP_DEGREE = 64
+MAX_MEMBERSHIP_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -124,6 +140,113 @@ def require_search_budget(max_degree: int) -> int:
                 f"degree {n} alone); choose a smaller degree"
             )
     return count
+
+
+def _power_table(x: float, n: int) -> tuple[list[float], list[float]]:
+    """Powers [x^0, ..., x^n] by repeated multiplication, and their prefix
+    sums [S_0, ..., S_n] with S_j = x + x^2 + ... + x^j."""
+    powers, sums = [1.0], [0.0]
+    for _ in range(n):
+        powers.append(powers[-1] * x)
+        sums.append(sums[-1] + powers[-1])
+    return powers, sums
+
+
+def _excluded(
+    k: int, a: int, b: int, p_lo: float, p_hi: float, s_lo: list[float], s_hi: list[float]
+) -> bool:
+    """True when every completion of a prefix keeps one sign on the window.
+
+    The prefix holds k signs and has the values p_lo and p_hi at the window
+    ends; a pluses and b minuses remain, at exponents k+1 .. n = k+a+b. The
+    powers decrease, so the suffix is smallest with the minuses first,
+    (S_n - S_(k+b)) - (S_(k+b) - S_k), and largest with the pluses first,
+    (S_(k+a) - S_k) - (S_n - S_(k+a)).
+    """
+    n = k + a + b
+    if (
+        p_lo + s_lo[n] + s_lo[k] - 2.0 * s_lo[k + b] > TOL
+        and p_hi + s_hi[n] + s_hi[k] - 2.0 * s_hi[k + b] > TOL
+    ):
+        return True
+    return (
+        p_lo + 2.0 * s_lo[k + a] - s_lo[k] - s_lo[n] < -TOL
+        and p_hi + 2.0 * s_hi[k + a] - s_hi[k] - s_hi[n] < -TOL
+    )
+
+
+def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[PMPattern]:
+    """First balanced pattern of degree <= max_degree, by degree and then
+    lexicographically ('+' < '-'), that changes sign on [lo, hi].
+
+    A pattern counts when ``eval_pm`` at lo and at hi differ in sign or
+    either is exactly zero; None means no pattern does. Each degree n is
+    searched depth first over sign prefixes, '+' before '-', so the first
+    leaf that passes is the first hit of the enumeration order. A prefix is
+    dropped when the smallest completion exceeds ``core.TOL`` at both ends,
+    or the largest stays below -``core.TOL`` at both (:func:`_excluded`);
+    the extremes come from one table of power sums per window end, built
+    once per call.
+
+    Soundness: for 0 < x <= 2/3 and degree <= 64, the powers, their sums,
+    the prefix values and ``eval_pm``'s Horner value each lie within about
+    64 * 2^-52 * x/(1-x) <= 3e-14 of their exact values (below 2e-14 in the
+    open window), so a bound made of four of them errs by less than 2e-13,
+    and with the Horner error still far less than ``core.TOL`` = 1e-12. A
+    dropped prefix therefore has only completions whose float values at lo
+    and at hi share one nonzero sign: the enumeration would reject every
+    one of them, and the result is the enumeration's first hit.
+
+    Raises InputError before any node is visited when max_degree exceeds
+    :data:`MAX_MEMBERSHIP_DEGREE`, and once more than
+    :data:`MAX_MEMBERSHIP_NODES` nodes have been visited; DomainError unless
+    0 < lo < hi <= 2/3.
+    """
+    if max_degree > MAX_MEMBERSHIP_DEGREE:
+        raise InputError(
+            f"membership search degree {max_degree} exceeds the cap of "
+            f"{MAX_MEMBERSHIP_DEGREE}; choose a smaller degree"
+        )
+    if not 0.0 < lo < hi <= 2.0 / 3.0:  # the rounding argument needs x <= 2/3
+        raise DomainError(f"membership window [{lo!r}, {hi!r}] must lie in (0, 2/3]")
+    pw_lo, s_lo = _power_table(lo, max_degree)
+    pw_hi, s_hi = _power_table(hi, max_degree)
+    signs: list[int] = []
+    visited = 0
+
+    def search(a: int, b: int, p_lo: float, p_hi: float) -> Optional[PMPattern]:
+        nonlocal visited
+        visited += 1
+        if visited > MAX_MEMBERSHIP_NODES:
+            raise InputError(
+                f"membership search up to degree {max_degree} visited more than "
+                f"{MAX_MEMBERSHIP_NODES:,} prefix nodes; choose a smaller degree"
+            )
+        k = len(signs)
+        if _excluded(k, a, b, p_lo, p_hi, s_lo, s_hi):
+            return None
+        if not (a or b):
+            pattern = PMPattern._trusted(tuple(signs))
+            f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
+            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
+                return pattern
+            return None
+        hit = None
+        if a:
+            signs.append(1)
+            hit = search(a - 1, b, p_lo + pw_lo[k + 1], p_hi + pw_hi[k + 1])
+            signs.pop()
+        if b and hit is None:
+            signs.append(-1)
+            hit = search(a, b - 1, p_lo - pw_lo[k + 1], p_hi - pw_hi[k + 1])
+            signs.pop()
+        return hit
+
+    for n in range(2, max_degree + 1, 2):
+        hit = search(n // 2, n // 2, 0.0, 0.0)
+        if hit is not None:
+            return hit
+    return None
 
 
 # Integer polynomials are lists of coefficients in ascending order of power.
@@ -256,8 +379,8 @@ def pattern_roots(pattern: PMPattern, root_tol: float = TOL) -> RootReport:
     2*root_tol of each other merged. An empty root list is a perfectly
     normal outcome.
     """
-    if not root_tol > 0.0:
-        raise InputError(f"root_tol must be positive, got {root_tol!r}")
+    if not 0.0 < root_tol < inf:
+        raise InputError(f"root_tol must be finite and positive, got {root_tol!r}")
     cofactor = list(as_signs(pattern))  # the pattern divided by x
     if not cofactor:
         raise InputError("cannot find roots of an empty sign sequence")

@@ -20,10 +20,12 @@ Verdicts of :func:`fairness_report` are observational statements about the
 finite trace, never proofs about the limit. Likewise :func:`classify` is
 threshold-driven: below 1/2 no fair division exists, above 1/sqrt(2) the
 greedy pairing works, above the quartic threshold (about 0.5845751) a
-covering certificate works. In the remaining window it asks one question
-per balanced pattern, in order of degree: does the pattern change sign
-within ``core.ROOT_MATCH_WINDOW`` of q? Only the first such bracket is
-bisected; without one the answer is honestly Unknown.
+covering certificate works. In the remaining window it asks one question:
+which is the first balanced pattern, in order of degree, that changes sign
+within ``core.ROOT_MATCH_WINDOW`` of q? A pruned depth-first search over
+sign prefixes (:func:`periodic.first_bracketed_pattern`) answers it without
+evaluating every pattern. Only that bracket is bisected; without one the
+answer is honestly Unknown.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .core import (
     eval_pm, geometric_tail, require_unit_open,
 )
 from .greedy import INV_SQRT2, in_greedy_regime
-from .periodic import PMPattern, enumerate_balanced, require_search_budget
+from .periodic import PMPattern, first_bracketed_pattern
 
 
 class TraceRow(NamedTuple):
@@ -272,12 +274,16 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     :func:`greedy.in_greedy_regime` admits q (1/sqrt(2) and up, less
     ``core.TOL``) the greedy pairing applies; above the quartic threshold the
     covering certificate applies (the auto-certificate outcome is attached
-    as the witness). In the open window every balanced pattern of degree
-    <= ``search_degree`` is tested for a sign change on
-    q +- ``core.ROOT_MATCH_WINDOW``; the first hit is bisected and returned
-    as a periodic match, otherwise the answer is Unknown, which must not be
-    strengthened. A search over more patterns than the budget allows is
-    refused before it starts (:func:`periodic.require_search_budget`).
+    as the witness). In the open window the first balanced pattern of degree
+    <= ``search_degree`` (by degree, then lexicographically) that changes
+    sign on q +- ``core.ROOT_MATCH_WINDOW`` is found by
+    :func:`periodic.first_bracketed_pattern`, bisected and returned as a
+    periodic match; otherwise the answer is Unknown, which must not be
+    strengthened. There a search_degree above
+    :data:`periodic.MAX_MEMBERSHIP_DEGREE` (64) is refused before any node
+    is visited, and a search that visits more than
+    :data:`periodic.MAX_MEMBERSHIP_NODES` prefix nodes is stopped; both
+    raise InputError.
     """
     require_unit_open(q)
     if search_degree < 2 or search_degree % 2 != 0:
@@ -296,17 +302,12 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
             kind=FeasibilityKind.BOUNDED_FAIR_CERTIFICATE,
             certificate=auto_certificate(q),
         )
-    require_search_budget(search_degree)
     lo, hi = q - ROOT_MATCH_WINDOW, q + ROOT_MATCH_WINDOW
-    for degree in range(2, search_degree + 1, 2):
-        for pattern in enumerate_balanced(degree):
-            f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
-            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
-                root = bisect_root(lambda x: eval_pm(pattern, x), lo, hi, TOL)
-                return FeasibilityClass(
-                    kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root
-                )
-    return FeasibilityClass(kind=FeasibilityKind.UNKNOWN, searched_degree=search_degree)
+    pattern = first_bracketed_pattern(lo, hi, search_degree)
+    if pattern is None:
+        return FeasibilityClass(kind=FeasibilityKind.UNKNOWN, searched_degree=search_degree)
+    root = bisect_root(lambda x: eval_pm(pattern, x), lo, hi, TOL)
+    return FeasibilityClass(kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root)
 
 
 def write_trace_csv(trace: SimulationTrace, stream: IO[str]) -> None:

@@ -98,8 +98,9 @@ def test_q_infinity_bracket_signs():
 
 
 def test_q_infinity_validation():
-    with pytest.raises(InputError):
-        q_infinity(0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            q_infinity(tol)
 
 
 def test_certificate_at_q07():

@@ -6,7 +6,6 @@ import math
 import pytest
 
 import soupdiv.periodic as periodic
-import soupdiv.sim as sim
 from soupdiv.cli import run
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -95,19 +94,28 @@ def test_periodic_search_grid_option_is_gone(capsys):
 
 
 def test_exponential_searches_refused_up_front(monkeypatch, capsys):
-    def refuse(n):
-        raise AssertionError("enumerated patterns before checking the budget")
+    def refuse(*args):
+        raise AssertionError("searched before checking the budget")
 
     monkeypatch.setattr(periodic, "enumerate_balanced", refuse)
-    monkeypatch.setattr(sim, "enumerate_balanced", refuse)
-    for argv in (
-        ["periodic-search", "--max-degree", "40"],
-        ["classify", "--q", "0.55", "--search-degree", "40"],
+    monkeypatch.setattr(periodic, "_excluded", refuse)
+    monkeypatch.setattr(periodic, "_power_table", refuse)
+    for argv, reason in (
+        (["periodic-search", "--max-degree", "40"], "balanced patterns"),
+        (["classify", "--q", "0.55", "--search-degree", "66"], "exceeds the cap of 64"),
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert "balanced patterns" in err
+        assert reason in err
+
+
+def test_classify_node_budget_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(periodic, "MAX_MEMBERSHIP_NODES", 40)
+    code, out, err = invoke(capsys, "classify", "--q", "0.56")
+    assert code == 2
+    assert out == ""
+    assert "prefix nodes" in err
 
 
 def test_greedy_subcommand(capsys):
@@ -265,10 +273,15 @@ def test_domain_errors_exit_two(capsys):
         ["classify", "--q", "1.5"],
         ["classify", "--q", "0"],
         ["qinf", "--tol", "-1"],
+        ["qinf", "--tol", "inf"],
+        ["qinf", "--tol", "nan"],
+        ["periodic-search", "--max-degree", "8", "--root-tol", "inf"],
+        ["periodic-search", "--max-degree", "8", "--root-tol", "nan"],
         ["simulate", "--q", "0.5", "--signs", "abcdef"],
     ):
-        code, _, err = invoke(capsys, *argv)
+        code, out, err = invoke(capsys, *argv)
         assert code == 2, argv
+        assert out == ""
         assert err
 
 

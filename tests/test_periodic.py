@@ -1,5 +1,7 @@
 """Periodic fairness, exhaustive enumeration, and root isolation."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import soupdiv.periodic as periodic
 from soupdiv import (
+    DomainError,
     InputError,
     PMPattern,
     classify_periodic,
@@ -17,8 +20,9 @@ from soupdiv import (
     min_period_search,
     pattern_roots,
     prefix_diagnostics,
+    q_infinity,
 )
-from soupdiv.core import TOL, bisect_root
+from soupdiv.core import ROOT_MATCH_WINDOW, TOL, bisect_root
 from soupdiv.periodic import MAX_SEARCH_PATTERNS, require_search_budget
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -203,8 +207,61 @@ def test_unit_interval_roots_repeated_and_dyadic(coeffs, expected):
 
 def test_pattern_roots_validation():
     golden = PMPattern.from_text(GOLDEN)
-    with pytest.raises(InputError):
-        pattern_roots(golden, root_tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            pattern_roots(golden, root_tol=tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _open_window_hits():
+    """(signs, root) for every root of degree <= 12 in (1/2, q_inf]."""
+    q_inf = q_infinity(1e-12)
+    return tuple(
+        (hit.pattern.signs, root)
+        for hits in min_period_search(12).values()
+        for hit in hits
+        for root in hit.roots
+        if 0.5 < root <= q_inf
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), planted=st.booleans())
+def test_pruned_prefixes_hold_no_bracket(data, planted):
+    # A planted root with a prefix of its own pattern puts a bracket in reach.
+    if planted:
+        signs, q = data.draw(st.sampled_from(_open_window_hits()), label="hit")
+    else:
+        half = data.draw(st.integers(1, 6), label="half")
+        signs = tuple(data.draw(st.permutations([1] * half + [-1] * half), label="signs"))
+        q = data.draw(st.floats(0.5, q_infinity(1e-12), exclude_min=True), label="q")
+    n = len(signs)
+    k = data.draw(st.integers(0, n), label="k")
+    lo, hi = q - ROOT_MATCH_WINDOW, q + ROOT_MATCH_WINDOW
+    pw_lo, s_lo = periodic._power_table(lo, n)
+    pw_hi, s_hi = periodic._power_table(hi, n)
+    p_lo = p_hi = 0.0
+    for i, s in enumerate(signs[:k], start=1):
+        p_lo, p_hi = p_lo + s * pw_lo[i], p_hi + s * pw_hi[i]
+    a = signs[k:].count(1)
+    b = n - k - a
+    if not periodic._excluded(k, a, b, p_lo, p_hi, s_lo, s_hi):
+        return
+    for plus in itertools.combinations(range(k, n), a):
+        completion = [-1] * n
+        completion[:k] = signs[:k]
+        for i in plus:
+            completion[i] = 1
+        f_lo, f_hi = eval_pm(completion, lo), eval_pm(completion, hi)
+        assert f_lo != 0.0 and (f_lo < 0.0) == (f_hi < 0.0), completion
+
+
+def test_bracket_search_validation():
+    with pytest.raises(InputError, match="exceeds the cap"):
+        periodic.first_bracketed_pattern(0.55, 0.56, 66)
+    with pytest.raises(DomainError):
+        periodic.first_bracketed_pattern(0.7, 0.71, 12)
+    assert periodic.first_bracketed_pattern(0.56, 0.56 + 1e-9, 2) is None
 
 
 def test_search_below_six_is_empty():

@@ -1,6 +1,7 @@
 """Simulator conservation and identities, fairness verdicts, the classifier."""
 
 import csv
+import functools
 import io
 import math
 import random
@@ -9,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import soupdiv.sim as sim
+import soupdiv.periodic as periodic
 from soupdiv import (
     INV_SQRT2,
     Certificate,
@@ -31,7 +32,7 @@ from soupdiv import (
     simulate,
     write_trace_csv,
 )
-from soupdiv.core import TOL
+from soupdiv.core import ROOT_MATCH_WINDOW, TOL, bisect_root, eval_pm
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -307,11 +308,78 @@ def test_classify_validation():
 
 
 def test_classify_refuses_oversized_search_before_enumerating(monkeypatch):
-    def refuse(n):
-        raise AssertionError("enumerated patterns before checking the budget")
+    def refuse(*args):
+        raise AssertionError("visited a prefix node before checking the degree cap")
 
-    monkeypatch.setattr(sim, "enumerate_balanced", refuse)
-    with pytest.raises(InputError, match="balanced patterns"):
-        classify(0.55, search_degree=40)
+    # _excluded runs first at every node, so refusing it catches any visit
+    monkeypatch.setattr(periodic, "_excluded", refuse)
+    monkeypatch.setattr(periodic, "_power_table", refuse)
+    with pytest.raises(InputError, match="degree 66 exceeds the cap of 64"):
+        classify(0.55, search_degree=66)
     # outside the open window no pattern is searched, so nothing is refused
-    assert classify(0.75, search_degree=40).kind is FeasibilityKind.BOUNDED_FAIR_GREEDY
+    assert classify(0.75, search_degree=66).kind is FeasibilityKind.BOUNDED_FAIR_GREEDY
+
+
+def test_classify_node_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(periodic, "MAX_MEMBERSHIP_NODES", 40)
+    with pytest.raises(InputError, match="more than 40 prefix nodes"):
+        classify(0.56, search_degree=12)
+
+
+def _enumerated_classify(q, search_degree):
+    """The open-window branch of classify as it was before the pruned search:
+    every balanced pattern in order, tested on the window ends."""
+    lo, hi = q - ROOT_MATCH_WINDOW, q + ROOT_MATCH_WINDOW
+    for degree in range(2, search_degree + 1, 2):
+        for pattern in enumerate_balanced(degree):
+            f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
+            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
+                return pattern, bisect_root(lambda x: eval_pm(pattern, x), lo, hi, TOL)
+    return None, None
+
+
+@functools.lru_cache(maxsize=None)
+def _open_window_roots():
+    q_inf = q_infinity(1e-12)
+    return tuple(
+        root
+        for degree in range(2, 13, 2)
+        for pattern in enumerate_balanced(degree)
+        for root in pattern_roots(pattern).roots
+        if 0.5 < root <= q_inf
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    planted=st.booleans(),
+    search_degree=st.sampled_from(range(2, 13, 2)),
+)
+def test_classify_search_equals_enumeration(data, planted, search_degree):
+    if planted:
+        q = data.draw(st.sampled_from(_open_window_roots()), label="q")
+    else:
+        q = data.draw(
+            st.floats(0.5, q_infinity(1e-12), exclude_min=True), label="q"
+        )
+    result = classify(q, search_degree=search_degree)
+    pattern, root = _enumerated_classify(q, search_degree)
+    if pattern is None:
+        assert result.kind is FeasibilityKind.UNKNOWN
+        assert result.searched_degree == search_degree
+    else:
+        assert result.kind is FeasibilityKind.PERIODIC_FAIR
+        assert result.pattern == pattern
+        assert result.root == root
+
+
+def test_classify_answers_degree_64():
+    q = 0.56
+    result = classify(q, search_degree=64)
+    assert result.kind is FeasibilityKind.PERIODIC_FAIR
+    assert result.pattern.degree <= 64
+    f_lo = eval_pm(result.pattern, q - 1e-9)
+    f_hi = eval_pm(result.pattern, q + 1e-9)
+    assert f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0)
+    assert abs(result.root - q) <= 1e-9
