@@ -5,7 +5,8 @@ Given a decay quotient q in (0, 1), a division assigns each scoop to plate
 stuff (bounded sign imbalance) and the surface stuff (vanishing signed
 geometric residual) evenly, and numerically checks every bound involved:
 
-* :mod:`soupdiv.core` -- sign sequences, balanced patterns, evaluation;
+* :mod:`soupdiv.core` -- sign parsing, the balanced pattern type that also
+  carries constructed divisions, evaluation;
 * :mod:`soupdiv.greedy` -- paired greedy construction for q >= 1/sqrt(2);
 * :mod:`soupdiv.periodic` -- periodic fairness and exhaustive root search;
 * :mod:`soupdiv.approx` -- covering certificates and block constructions
@@ -38,7 +39,6 @@ from .core import (
     DomainError,
     InputError,
     PMPattern,
-    SignSeq,
     as_signs,
     eval_pm,
     geometric_tail,
@@ -91,7 +91,6 @@ __all__ = [
     "PeriodicHit",
     "PeriodicVerdict",
     "RootReport",
-    "SignSeq",
     "SimulationTrace",
     "TraceRow",
     "Verdict",

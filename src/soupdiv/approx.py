@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .core import TOL, DomainError, InputError, PMPattern, SignSeq, bisect_root, require_unit_open
+from .core import TOL, DomainError, InputError, PMPattern, bisect_root, require_unit_open
 
 DEFAULT_N_MAX = 64
 
@@ -107,8 +106,7 @@ def covering_ratio(q: float) -> float:
     return (2.0 - q - q * q) / (1.0 + q * q)
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     """One verified inequality, stored as lhs <= rhs (ok iff it held)."""
 
     lhs: float
@@ -116,8 +114,7 @@ class InequalityCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class CertificateChecks:
+class CertificateChecks(NamedTuple):
     """Outcome of the three inequality families plus the two diagnostics."""
 
     gap: Optional[InequalityCheck]  # tightest |P_{n+1}-P_n| vs A*(q^2n + q^(2n+2)); None when N=1
@@ -127,8 +124,7 @@ class CertificateChecks:
     p_limit: float                  # pn_value(q, inf)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A verified witness that the values P_1(q)..P_N(q) cover [0, A]."""
 
     q: float
@@ -138,8 +134,7 @@ class Certificate:
     checks: CertificateChecks
 
 
-@dataclass(frozen=True)
-class CertificateFailure:
+class CertificateFailure(NamedTuple):
     """First violated inequality, with both sides and the diagnostics."""
 
     q: float
@@ -253,17 +248,17 @@ def approximate_step(x0: float, cert: Certificate) -> ApproxStep:
     )
 
 
-@dataclass(frozen=True)
-class FairDivisionPlan:
+class FairDivisionPlan(NamedTuple):
     """A constructed division: signs, block boundaries, residuals, certificate.
 
     ``block_ends[m]`` is the scoop count after m blocks (starting at 0) and
     ``residuals_at_blocks[m]`` the residual there, bounded by A * q^block_end.
     Every block is balanced, so sign prefix sums vanish at block ends and
-    never exceed 2N in absolute value anywhere.
+    never exceed 2N in absolute value anywhere, and ``seq`` is a pattern
+    built without re-validating its signs.
     """
 
-    seq: SignSeq
+    seq: PMPattern
     block_ends: tuple[int, ...]
     residuals_at_blocks: tuple[float, ...]
     certificate: Certificate
@@ -314,7 +309,7 @@ def construct_bounded(
         block_ends.append(k)
         residuals.append(r)
     return FairDivisionPlan(
-        seq=SignSeq(tuple(signs)),
+        seq=PMPattern._trusted(tuple(signs)),
         block_ends=tuple(block_ends),
         residuals_at_blocks=tuple(residuals),
         certificate=cert,

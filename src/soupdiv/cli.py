@@ -14,7 +14,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import io
 import json
 import math
 import os
@@ -36,7 +36,6 @@ from .core import (
     TOL,
     DomainError,
     InputError,
-    SignSeq,
     parse_signs,
     prefix_diagnostics,
     require_unit_open,
@@ -47,9 +46,12 @@ from .sim import FeasibilityKind, classify, simulate, write_trace_csv
 
 
 def _round_floats(obj: Any) -> Any:
-    """Round every float in a payload to 15 significant digits."""
+    """Round every float in a payload to 15 significant digits; a result
+    record (a named tuple) becomes the dict of its fields."""
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -73,31 +75,10 @@ def _txt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _certificate_payload(cert: Certificate) -> dict[str, Any]:
-    checks = {
-        "base": dataclasses.asdict(cert.checks.base),
-        "endpoint": dataclasses.asdict(cert.checks.endpoint),
-        "gap": dataclasses.asdict(cert.checks.gap) if cert.checks.gap else None,
-        "ratio": cert.checks.ratio,
-        "p_limit": cert.checks.p_limit,
-    }
-    return {
-        "q": cert.q,
-        "N": cert.N,
-        "A": cert.A,
-        "pn_values": list(cert.pn_values),
-        "checks": checks,
-    }
-
-
-def _failure_payload(failure: CertificateFailure) -> dict[str, Any]:
-    return dataclasses.asdict(failure)
-
-
 def _emit_failure(failure: CertificateFailure, args: argparse.Namespace) -> int:
     """Report a failed certification in the requested format; exit code 1."""
     if args.format == "json":
-        _emit(_dump_json({"failure": _failure_payload(failure)}), args.out)
+        _emit(_dump_json({"failure": failure}), args.out)
     else:
         _emit(
             f"not certified: {failure.family} inequality fails at n={failure.index} "
@@ -119,12 +100,12 @@ def _plan_payload(plan: FairDivisionPlan) -> dict[str, Any]:
         "q": q,
         "scoops": len(plan.seq),
         "signs": plan.seq.to_text(),
-        "certificate": _certificate_payload(plan.certificate),
+        "certificate": plan.certificate,
         "blocks": blocks,
     }
 
 
-def _load_signs(value: str) -> SignSeq:
+def _load_signs(value: str) -> tuple[int, ...]:
     """Inline '+'/'-' string, or a path to a file with one sign per line.
 
     A value that reads both ways (a file named like a sign string) is
@@ -139,7 +120,7 @@ def _load_signs(value: str) -> SignSeq:
                 f"and as the existing file {value!r}; name the file with a "
                 f"directory prefix such as {os.path.join(os.curdir, value)!r}"
             )
-        return SignSeq(parse_signs(stripped))
+        return parse_signs(stripped)
     if is_file:
         signs = []
         with open(value, "r", encoding="utf-8") as fh:
@@ -155,7 +136,7 @@ def _load_signs(value: str) -> SignSeq:
                     raise InputError(
                         f"{value}:{lineno}: expected one sign per line, got {token!r}"
                     )
-        return SignSeq(tuple(signs))
+        return tuple(signs)
     raise InputError(f"--signs {value!r} is neither a sign string nor an existing file")
 
 
@@ -178,9 +159,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if result.threshold is not None:
         payload["threshold"] = result.threshold
     if isinstance(result.certificate, Certificate):
-        payload["certificate"] = _certificate_payload(result.certificate)
+        payload["certificate"] = result.certificate
     elif isinstance(result.certificate, CertificateFailure):
-        payload["certificate_failure"] = _failure_payload(result.certificate)
+        payload["certificate_failure"] = result.certificate
     if result.pattern is not None:
         payload["pattern"] = result.pattern.to_text()
     if result.root is not None:
@@ -193,7 +174,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         extras = ", ".join(
             f"{k}={_txt(v) if isinstance(v, float) else v}"
             for k, v in payload.items()
-            if k not in ("class", "q") and not isinstance(v, dict)
+            if k not in ("class", "q") and not isinstance(v, tuple)
         )
         line = f"{result.kind.value} (q={_txt(args.q)}" + (f", {extras}" if extras else "") + ")\n"
         _emit(line, args.out)
@@ -219,7 +200,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
 
 
 def _cmd_periodic_search(args: argparse.Namespace) -> int:
-    results = min_period_search(args.max_degree, root_tol=args.root_tol)
+    results = min_period_search(args.max_degree)
     rows = []
     for degree in sorted(results):
         for hit in results[degree]:
@@ -252,7 +233,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if isinstance(result, CertificateFailure):
         return _emit_failure(result, args)
     if args.format == "json":
-        _emit(_dump_json({"certificate": _certificate_payload(result)}), args.out)
+        _emit(_dump_json({"certificate": result}), args.out)
     else:
         _emit(
             f"certified q={_txt(result.q)} with N={result.N}, A={_txt(result.A)}\n",
@@ -293,11 +274,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         }
         _emit(_dump_json(payload), args.out)
         return 0
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            write_trace_csv(trace, fh)
-    else:
-        write_trace_csv(trace, sys.stdout)
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -343,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic-search", help="exhaustive balanced-pattern root search")
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--root-tol", type=float, default=TOL)
     add_common(p, "json")
     p.set_defaults(func=_cmd_periodic_search)
 
@@ -365,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_unit_open, required=True)
     p.add_argument("--signs", required=True, help="inline +/- string or path to a sign file")
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--csv", default=None, help="write the CSV trace to this path")
     add_common(p, "csv", formats=("csv", "json"))
     p.set_defaults(func=_cmd_simulate)
 

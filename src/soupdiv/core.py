@@ -9,6 +9,11 @@ terms of two prefix quantities:
 * the residual   sum_{i<=k} s_i * q^i   (surface-stuff imbalance, up to a
   constant factor that the simulator makes explicit).
 
+There is one sign type, :class:`PMPattern`, for balanced sequences: the
+periodic patterns, and the divisions that the greedy pairing and the block
+construction build. Any other finite division is a plain tuple of +1/-1;
+:func:`as_signs` accepts either, or a '+'/'-' string.
+
 Patterns are written as strings of '+' and '-' with the leftmost character
 at exponent 1, e.g. "+---++". The Unicode minus sign is accepted on input;
 output always uses the ASCII hyphen.
@@ -79,35 +84,15 @@ def _validated_signs(signs: Iterable[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SignSeq:
-    """A finite prefix of a division: the sign of scoop i is ``signs[i-1]``."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", _validated_signs(self.signs))
-
-    @classmethod
-    def from_text(cls, text: str) -> "SignSeq":
-        return cls(parse_signs(text))
-
-    def to_text(self) -> str:
-        return signs_to_text(self.signs)
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.signs)
-
-
-@dataclass(frozen=True)
 class PMPattern:
     """A balanced plus-minus pattern: signs for exponents 1..n with sum zero.
 
     Balance (equal counts of '+' and '-', equivalently value zero at q=1) is
     enforced at construction, so the degree is always even. There is no
-    constant term; the leftmost sign belongs to exponent 1.
+    constant term; the leftmost sign belongs to exponent 1. The greedy
+    pairing and the block construction return their divisions as patterns
+    too: both are balanced by construction, the sign of scoop i being
+    ``signs[i-1]``.
     """
 
     signs: tuple[int, ...]
@@ -153,12 +138,12 @@ class PMPattern:
         return iter(self.signs)
 
 
-Signs = Union[SignSeq, PMPattern, str, Sequence[int]]
+Signs = Union[PMPattern, str, Sequence[int]]
 
 
 def as_signs(value: Signs) -> tuple[int, ...]:
     """Coerce any accepted sign-sequence form into a tuple of +1/-1."""
-    if isinstance(value, (SignSeq, PMPattern)):
+    if isinstance(value, PMPattern):
         return value.signs
     if isinstance(value, str):
         return parse_signs(value)

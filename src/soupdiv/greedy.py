@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .core import TOL, DomainError, InputError, SignSeq, require_unit_open
+from .core import TOL, DomainError, InputError, PMPattern, require_unit_open
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -28,7 +28,7 @@ def in_greedy_regime(q: float) -> bool:
     return q >= INV_SQRT2 - TOL
 
 
-def geometric_fair_division(q: float, n_scoops: int) -> SignSeq:
+def geometric_fair_division(q: float, n_scoops: int) -> PMPattern:
     """Greedy scoop division for q >= 1/sqrt(2), paired as (+,-) / (-,+).
 
     Pair k covers scoops 2k-1 and 2k; a pair sign of +1 sends the earlier
@@ -36,7 +36,8 @@ def geometric_fair_division(q: float, n_scoops: int) -> SignSeq:
     when the running residual is strictly positive and '+' otherwise, so the
     division opens with "+-" and a longer division extends a shorter one.
     Prefix sign sums stay in {-1, 0, +1} and the residual after 2k scoops
-    is bounded by q^(2k+1)/(1+q).
+    is bounded by q^(2k+1)/(1+q). Every pair is balanced, so the division is
+    returned as a :class:`core.PMPattern` without re-validating its signs.
     """
     require_unit_open(q)
     if not in_greedy_regime(q):
@@ -53,4 +54,4 @@ def geometric_fair_division(q: float, n_scoops: int) -> SignSeq:
         sign = -1 if residual > 0.0 else 1
         signs += (sign, -sign)
         residual += sign * (q ** (2 * k - 1) * (1.0 - q))
-    return SignSeq(tuple(signs))
+    return PMPattern._trusted(tuple(signs))

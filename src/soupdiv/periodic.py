@@ -11,11 +11,13 @@ Roots are isolated exactly on integer coefficients. A balanced pattern is
 x * (1-x)^m * Q(x) with Q integer and nonzero at 0 and 1; the squarefree
 part of Q is split into intervals holding one root each by Descartes' rule
 of signs with Vincent-Collins-Akritas bisection, and each interval is then
-refined by :func:`core.bisect_root` on the exact sign of the polynomial at
-a float. No root decision depends on float rounding. Rotated patterns are
-distinct periodic divisions and are searched separately; the global
-negation of a hit is always a hit with the same roots (plate swap), so
-each hit records its negation partner.
+refined by :func:`core.bisect_root`, to width ``core.TOL``, on the exact
+sign of the polynomial at a float. No root decision depends on float
+rounding. Q and its squarefree part have +-1 as constant and leading
+coefficients, so neither has a rational root in (0, 1): no root lies on a
+dyadic bisection midpoint. Rotated patterns are distinct periodic divisions
+and are searched separately; the global negation of a hit is always a hit
+with the same roots (plate swap), so each hit records its negation partner.
 
 :func:`min_period_search` enumerates every balanced pattern, a count that
 grows like 2^n/sqrt(n) in the degree, so it refuses up front when more than
@@ -33,10 +35,9 @@ evaluate 1,274 patterns. It refuses degrees above
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import comb, gcd, inf
-from typing import Iterator, Optional
+from math import comb, gcd
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     TOL,
@@ -64,8 +65,7 @@ MAX_MEMBERSHIP_DEGREE = 64
 MAX_MEMBERSHIP_NODES = 100_000
 
 
-@dataclass(frozen=True)
-class PeriodicVerdict:
+class PeriodicVerdict(NamedTuple):
     """Fairness of one period: fair iff sign_sum == 0 and residual is zero-ish."""
 
     fair: bool
@@ -73,14 +73,12 @@ class PeriodicVerdict:
     residual_abs: float
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     pattern: PMPattern
     roots: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PeriodicHit:
+class PeriodicHit(NamedTuple):
     """A balanced pattern with at least one root in (0, 1).
 
     ``negation_partner`` is the plate-swapped pattern text, which has the same
@@ -319,17 +317,17 @@ def _scaled_value(p: list[int], x: float) -> int:
     return acc
 
 
-def _isolate(q: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _isolate(q: list[int]) -> list[tuple[int, int]]:
     """Vincent-Collins-Akritas bisection of a squarefree q on (0, 1).
 
     A node (c, k, p) stands for the interval (c/2^k, (c+1)/2^k), with p(x)
     a positive multiple of q((c + x)/2^k). By Descartes' rule the sign
     changes of (1+x)^d p(1/(1+x)) bound the node's roots and have their
-    parity: none means no root, one means exactly one. Returns the dyadic
-    roots met as midpoints and the isolating intervals, both as (c, k).
+    parity: none means no root, one means exactly one. Returns the
+    isolating intervals as (c, k). q must have no dyadic root in (0, 1):
+    a root on a bisection midpoint would belong to neither half.
     """
     d = len(q) - 1
-    exact: list[tuple[int, int]] = []
     intervals: list[tuple[int, int]] = []
     stack = [(0, 0, q)]
     while stack:
@@ -339,48 +337,42 @@ def _isolate(q: list[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]
             intervals.append((c, k))
         elif changes > 1:
             left = [a << (d - i) for i, a in enumerate(p)]  # 2^d p(x/2)
-            right = _shift_by_one(left)  # 2^d p((1+x)/2)
-            if right[0] == 0:
-                exact.append((2 * c + 1, k + 1))
-            stack.append((2 * c + 1, k + 1, right))
+            stack.append((2 * c + 1, k + 1, _shift_by_one(left)))  # 2^d p((1+x)/2)
             stack.append((2 * c, k + 1, left))
-    return exact, intervals
+    return intervals
 
 
-def _unit_interval_roots(q: list[int], tol: float) -> list[float]:
-    """Sorted roots in (0, 1) of an integer polynomial with q(0), q(1) != 0.
+def _unit_interval_roots(q: list[int]) -> list[float]:
+    """Sorted roots in (0, 1) of an integer polynomial with q(0), q(1) != 0
+    and no dyadic root in (0, 1).
 
     Each root is reported once whatever its multiplicity: isolation runs on
-    the squarefree part q / gcd(q, q'). A dyadic root met as a midpoint is
-    exact; every other root is bisected to width <= tol on the sign of the
-    squarefree part with those dyadic roots divided out, so no bracket
-    endpoint is a root.
+    the squarefree part q / gcd(q, q'), and each root is bisected to width
+    <= ``core.TOL`` on that part's exact sign. Every pattern cofactor meets
+    the precondition: its constant and leading coefficients are +-1, so are
+    those of its squarefree part (Gauss's lemma), and by the rational root
+    theorem its only rational roots are +-1.
     """
     if len(q) < 2:
         return []
     q = _exact_quotient(q, _poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
-    exact, intervals = _isolate(q)
-    for c, k in exact:
-        q = _exact_quotient(q, [-c, 1 << k])
-    roots = [c / (1 << k) for c, k in exact]
-    for c, k in intervals:
-        lo, hi = c / (1 << k), (c + 1) / (1 << k)
-        roots.append(bisect_root(lambda x: _scaled_value(q, x), lo, hi, tol))
+    roots = [
+        bisect_root(lambda x: _scaled_value(q, x), c / (1 << k), (c + 1) / (1 << k), TOL)
+        for c, k in _isolate(q)
+    ]
     return sorted(roots)
 
 
-def pattern_roots(pattern: PMPattern, root_tol: float = TOL) -> RootReport:
+def pattern_roots(pattern: PMPattern) -> RootReport:
     """Locate roots of ``pattern`` in (0, 1) by exact isolation plus bisection.
 
     Divides the pattern by x and by (1-x) as often as it vanishes at 1,
     which leaves an integer cofactor nonzero at both ends, isolates the
-    cofactor's roots in (0, 1) and bisects each to width <= root_tol. Roots
-    within 2*root_tol of either endpoint are discarded and roots within
-    2*root_tol of each other merged. An empty root list is a perfectly
-    normal outcome.
+    cofactor's roots in (0, 1) and bisects each to width <= ``core.TOL``.
+    Roots within 2*TOL of either endpoint are discarded and roots within
+    2*TOL of each other merged. An empty root list is a perfectly normal
+    outcome.
     """
-    if not 0.0 < root_tol < inf:
-        raise InputError(f"root_tol must be finite and positive, got {root_tol!r}")
     cofactor = list(as_signs(pattern))  # the pattern divided by x
     if not cofactor:
         raise InputError("cannot find roots of an empty sign sequence")
@@ -388,16 +380,16 @@ def pattern_roots(pattern: PMPattern, root_tol: float = TOL) -> RootReport:
         cofactor = list(accumulate(cofactor))[:-1]
 
     roots: list[float] = []
-    for r in _unit_interval_roots(cofactor, root_tol):
-        if r < 2.0 * root_tol or r > 1.0 - 2.0 * root_tol:
+    for r in _unit_interval_roots(cofactor):
+        if r < 2.0 * TOL or r > 1.0 - 2.0 * TOL:
             continue
-        if roots and r - roots[-1] <= 2.0 * root_tol:
+        if roots and r - roots[-1] <= 2.0 * TOL:
             continue
         roots.append(r)
     return RootReport(pattern=pattern, roots=tuple(roots))
 
 
-def min_period_search(max_N: int, root_tol: float = TOL) -> dict[int, list[PeriodicHit]]:
+def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
     """Search every period length N <= max_N for patterns with roots in (0, 1).
 
     Odd N carry an empty list (no balanced pattern exists). The enumeration
@@ -413,7 +405,7 @@ def min_period_search(max_N: int, root_tol: float = TOL) -> dict[int, list[Perio
         hits: list[PeriodicHit] = []
         if n % 2 == 0:
             for pattern in enumerate_balanced(n):
-                report = pattern_roots(pattern, root_tol=root_tol)
+                report = pattern_roots(pattern)
                 if report.roots:
                     partner = signs_to_text(-s for s in pattern.signs)
                     hits.append(

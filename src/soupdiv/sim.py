@@ -163,8 +163,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(NamedTuple):
     max_abs_imbalance1: int
     final_imbalance2: float
     imbalance2_envelope: tuple[tuple[int, float], ...]
@@ -256,8 +255,7 @@ class FeasibilityKind(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class FeasibilityClass:
+class FeasibilityClass(NamedTuple):
     kind: FeasibilityKind
     witness_gap: Optional[float] = None
     threshold: Optional[float] = None

@@ -12,6 +12,7 @@ from soupdiv import (
     CertificateFailure,
     DomainError,
     InputError,
+    PMPattern,
     approximate_step,
     auto_certificate,
     construct_bounded,
@@ -26,6 +27,7 @@ from soupdiv import (
     verify_certificate,
 )
 from soupdiv.approx import DEFAULT_N_MAX
+from soupdiv.core import TOL
 
 # frozen from a 200-step exact-rational bisection of x^4 + x^3 + 2x^2 - 1
 Q_INF_REFERENCE = 0.5845751333644155
@@ -243,6 +245,34 @@ def test_construct_residual_contraction():
         plan.block_ends, plan.block_ends[1:], plan.residuals_at_blocks[1:]
     ):
         assert abs(r) <= q ** (end - prev_end) * a * q**prev_end + 1e-11
+
+
+def test_construct_returns_pattern_of_recomputed_blocks():
+    # test-local replay of the block rule: shortest admissible alternating
+    # block, negated when the residual is positive
+    q, scoops = 0.62, 10_000
+    plan = construct_bounded(q, scoops)
+    cert = plan.certificate
+    signs, r, k = [], 0.0, 0
+    while k < scoops:
+        q_pow_k = q**k
+        x0 = min(abs(r) / q_pow_k if q_pow_k > 0.0 and r != 0.0 else 0.0, cert.A)
+        n = next(
+            n for n in range(1, cert.N + 1)
+            if abs(x0 - cert.pn_values[n - 1]) <= cert.A * q ** (2 * n) + TOL
+        )
+        block = [1] + [1 if i % 2 == 0 else -1 for i in range(2, 2 * n)] + [-1]
+        residual = x0 - cert.pn_values[n - 1]
+        if r > 0.0:
+            signs += [-s for s in block]
+            r = q_pow_k * residual
+        else:
+            signs += block
+            r = -q_pow_k * residual
+        k += 2 * n
+    assert type(plan.seq) is PMPattern
+    assert plan.seq.signs == tuple(signs)
+    assert plan.block_ends[-1] == k
 
 
 def test_construct_validation():

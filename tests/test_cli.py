@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ import soupdiv.periodic as periodic
 from soupdiv.cli import run
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def invoke(capsys, *argv):
@@ -91,6 +93,15 @@ def test_periodic_search_grid_option_is_gone(capsys):
     code, _, err = invoke(capsys, "periodic-search", "--max-degree", "6", "--grid", "8")
     assert code == 2
     assert "--grid" in err
+
+
+def test_root_tol_option_is_gone(capsys):
+    # roots are always bisected to core.TOL
+    for value in ("1e-6", "inf", "nan"):
+        code, out, err = invoke(capsys, "periodic-search", "--max-degree", "8", "--root-tol", value)
+        assert code == 2
+        assert out == ""
+        assert "--root-tol" in err
 
 
 def test_exponential_searches_refused_up_front(monkeypatch, capsys):
@@ -206,11 +217,22 @@ def test_simulate_csv(capsys):
 def test_simulate_csv_to_file(tmp_path, capsys):
     out_csv = tmp_path / "trace.csv"
     code, out, _ = invoke(
-        capsys, "simulate", "--q", "0.5", "--signs", "+-+-", "--csv", str(out_csv)
+        capsys, "simulate", "--q", "0.5", "--signs", "+-+-", "--out", str(out_csv)
     )
     assert code == 0
     assert out == ""
     assert out_csv.read_text().startswith("i,sign,")
+
+
+def test_simulate_csv_option_is_gone(tmp_path, capsys):
+    out_csv = tmp_path / "trace.csv"
+    code, out, err = invoke(
+        capsys, "simulate", "--q", "0.5", "--signs", "+-+-", "--csv", str(out_csv)
+    )
+    assert code == 2
+    assert out == ""
+    assert "--csv" in err
+    assert not out_csv.exists()
 
 
 def test_simulate_signs_from_file(tmp_path, capsys):
@@ -275,8 +297,6 @@ def test_domain_errors_exit_two(capsys):
         ["qinf", "--tol", "-1"],
         ["qinf", "--tol", "inf"],
         ["qinf", "--tol", "nan"],
-        ["periodic-search", "--max-degree", "8", "--root-tol", "inf"],
-        ["periodic-search", "--max-degree", "8", "--root-tol", "nan"],
         ["simulate", "--q", "0.5", "--signs", "abcdef"],
     ):
         code, out, err = invoke(capsys, *argv)
@@ -309,6 +329,20 @@ def test_byte_identical_reruns(capsys):
         first = invoke(capsys, *argv)
         second = invoke(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["certify", "--q", "0.62"], "certify_q0.62.json"),
+        (["construct", "--q", "0.62", "--scoops", "12"], "construct_q0.62_scoops12.json"),
+        (["classify", "--q", "0.6"], "classify_q0.6.json"),
+    ],
+)
+def test_json_payloads_match_golden_bytes(capsys, argv, golden):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
 def test_json_round_trips(capsys):

@@ -12,7 +12,6 @@ from soupdiv import (
     DomainError,
     InputError,
     PMPattern,
-    SignSeq,
     as_signs,
     eval_pm,
     geometric_tail,
@@ -147,22 +146,21 @@ def test_sign_parsing_round_trip():
     assert signs_to_text((1, -1, -1, 1)) == "+--+"
     # the Unicode minus from typeset sources is accepted on input
     assert parse_signs("+−−+") == (1, -1, -1, 1)
-    assert SignSeq.from_text("+-").to_text() == "+-"
+    assert PMPattern.from_text("+-").to_text() == "+-"
 
 
 def test_sign_parsing_rejects_junk():
     with pytest.raises(InputError):
         parse_signs("+0-")
     with pytest.raises(InputError):
-        SignSeq((1, 2))
+        PMPattern((1, 2))
     with pytest.raises(InputError):
         as_signs([1, 0, -1])
 
 
 def test_eval_accepts_all_sign_forms():
     pattern = PMPattern.from_text("+-")
-    seq = SignSeq.from_text("+-")
-    for form in (pattern, seq, "+-", (1, -1), [1, -1]):
+    for form in (pattern, "+-", (1, -1), [1, -1]):
         assert eval_pm(form, 0.5) == pytest.approx(0.25, abs=1e-15)
 
 

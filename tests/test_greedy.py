@@ -10,6 +10,7 @@ from soupdiv import (
     DomainError,
     INV_SQRT2,
     InputError,
+    PMPattern,
     geometric_fair_division,
     prefix_diagnostics,
 )
@@ -50,6 +51,20 @@ def test_greedy_symmetric_cancellation():
     # the second pair opposes the first across the whole admitted range
     for q in (INV_SQRT2 - TOL, INV_SQRT2, 0.75, 0.99):
         assert geometric_fair_division(q, 4).to_text() == "+--+"
+
+
+def test_greedy_returns_pattern_of_recomputed_pairs():
+    # test-local replay of the pairing rule: '-+' when the residual is
+    # positive, '+-' otherwise
+    q, scoops = 0.75, 10_000
+    signs, residual = [], 0.0
+    for k in range(1, scoops // 2 + 1):
+        sign = -1 if residual > 0.0 else 1
+        signs += (sign, -sign)
+        residual += sign * q ** (2 * k - 1) * (1.0 - q)
+    seq = geometric_fair_division(q, scoops)
+    assert type(seq) is PMPattern
+    assert seq.signs == tuple(signs)
 
 
 def test_greedy_hand_executed():

@@ -109,7 +109,7 @@ def test_no_roots_for_simple_patterns():
 
 
 def test_golden_pattern_root():
-    report = pattern_roots(PMPattern.from_text(GOLDEN), root_tol=1e-12)
+    report = pattern_roots(PMPattern.from_text(GOLDEN))
     assert len(report.roots) == 1
     assert abs(report.roots[0] - PHI_INV) <= 1e-9
     assert abs(eval_pm(GOLDEN, report.roots[0])) <= 2e-12
@@ -193,23 +193,32 @@ def test_roots_are_exact_sign_brackets(signs):
 @pytest.mark.parametrize(
     "coeffs, expected",
     [
-        ([1, -3, 0, 4], [0.5]),  # (2x-1)^2 (x+1): double root on the first midpoint
+        ([1, -5, 3, 9], [1 / 3]),  # (3x-1)^2 (x+1): a double root
         ([-2, 15, -36, 27], [1 / 3, 2 / 3]),  # (3x-1)^2 (3x-2): double root off the dyadics
-        ([-3, 19, -26, -16, 32], [0.25, 0.5, 0.75]),  # (4x-1)(2x-1)(4x-3)(x+1)
     ],
 )
 def test_unit_interval_roots_repeated_and_dyadic(coeffs, expected):
-    roots = periodic._unit_interval_roots(coeffs, TOL)
+    roots = periodic._unit_interval_roots(coeffs)
     assert len(roots) == len(expected)
     for r, e in zip(roots, expected):
         assert abs(r - e) <= TOL
 
 
-def test_pattern_roots_validation():
-    golden = PMPattern.from_text(GOLDEN)
-    for tol in (0.0, math.inf, math.nan):
-        with pytest.raises(InputError):
-            pattern_roots(golden, root_tol=tol)
+def test_pattern_cofactors_have_unit_end_coefficients():
+    # The precondition of _unit_interval_roots: with +-1 end coefficients the
+    # squarefree part has no rational root in (0, 1), hence no dyadic one.
+    for n in range(2, 13, 2):
+        for pattern in enumerate_balanced(n):
+            cofactor = list(pattern.signs)  # the pattern divided by x
+            while sum(cofactor) == 0:  # divide by (1 - x)
+                cofactor = list(itertools.accumulate(cofactor))[:-1]
+            part = cofactor
+            if len(cofactor) > 1:
+                derivative = [i * c for i, c in enumerate(cofactor)][1:]
+                part = periodic._exact_quotient(
+                    cofactor, periodic._poly_gcd(cofactor, derivative)
+                )
+            assert abs(part[0]) == abs(part[-1]) == 1, pattern.to_text()
 
 
 @functools.lru_cache(maxsize=None)
