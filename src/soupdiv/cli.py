@@ -1,9 +1,12 @@
 """Command-line front end: reproducible, machine-readable access to all modules.
 
-Every subcommand validates its numeric flags before dispatch, writes to
-stdout (or ``--out``), and is deterministic: identical argv yields
-byte-identical output. Exit codes: 0 for a positive result, 1 for a
-negative or unknown result (infeasible q, failed certification, empty
+Every subcommand is a function of the parsed arguments that returns
+``(exit_code, output)``: ``output`` is text (or CSV) or a JSON payload.
+:func:`run` is the one place that renders a payload and writes the output to
+stdout (or ``--out``), so a command that raises writes nothing. Numeric
+flags are checked by the library function that uses them, and the same argv
+always yields byte-identical output. Exit codes: 0 for a positive result, 1
+for a negative or unknown result (infeasible q, failed certification, empty
 search), 2 for usage or domain errors.
 
 Reals are printed with 15 significant digits in JSON and 6 in text mode;
@@ -19,30 +22,25 @@ import json
 import math
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
 from .approx import (
+    DEFAULT_N_MAX,
     Certificate,
-    CertificateError,
     CertificateFailure,
-    FairDivisionPlan,
     auto_certificate,
     construct_bounded,
     q_infinity,
     qinf_poly,
     verify_certificate,
 )
-from .core import (
-    TOL,
-    DomainError,
-    InputError,
-    parse_signs,
-    prefix_diagnostics,
-    require_unit_open,
-)
+from .core import TOL, DomainError, InputError, PMPattern, prefix_diagnostics
 from .greedy import geometric_fair_division
 from .periodic import min_period_search
 from .sim import FeasibilityKind, classify, simulate, write_trace_csv
+
+# A subcommand's answer: its exit code, and text or a JSON payload.
+Response = tuple[int, Any]
 
 
 def _round_floats(obj: Any) -> Any:
@@ -63,50 +61,35 @@ def _dump_json(payload: Any) -> str:
     return json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _txt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _emit_failure(failure: CertificateFailure, args: argparse.Namespace) -> int:
-    """Report a failed certification in the requested format; exit code 1."""
+def _certificate(args: argparse.Namespace) -> Union[Certificate, CertificateFailure]:
+    """Verify the certificate at ``--N`` when given, else search up to ``--n-max``."""
+    if args.N is not None:
+        return verify_certificate(args.q, args.N)
+    return auto_certificate(args.q, n_max=args.n_max)
+
+
+def _failure(failure: CertificateFailure, args: argparse.Namespace) -> Response:
+    """A failed certification in the requested format; exit code 1."""
     if args.format == "json":
-        _emit(_dump_json({"failure": failure}), args.out)
-    else:
-        _emit(
-            f"not certified: {failure.family} inequality fails at n={failure.index} "
-            f"({_txt(failure.lhs)} vs {_txt(failure.rhs)}), "
-            f"ratio={_txt(failure.ratio)}, limit={_txt(failure.p_limit)}\n",
-            args.out,
-        )
-    return 1
+        return 1, {"failure": failure}
+    return 1, (
+        f"not certified: {failure.family} inequality fails at n={failure.index} "
+        f"({_txt(failure.lhs)} vs {_txt(failure.rhs)}), "
+        f"ratio={_txt(failure.ratio)}, limit={_txt(failure.p_limit)}\n"
+    )
 
 
-def _plan_payload(plan: FairDivisionPlan) -> dict[str, Any]:
-    q = plan.certificate.q
-    a = plan.certificate.A
-    blocks = [
-        {"end": k, "residual": r, "bound": a * q**k}
-        for k, r in zip(plan.block_ends, plan.residuals_at_blocks)
-    ]
-    return {
-        "q": q,
-        "scoops": len(plan.seq),
-        "signs": plan.seq.to_text(),
-        "certificate": plan.certificate,
-        "blocks": blocks,
-    }
+# The tokens of a sign file, one per line, and the sign character each stands for.
+_FILE_SIGNS = {"+": "+", "+1": "+", "-": "-", "-1": "-", "−": "-"}
 
 
-def _load_signs(value: str) -> tuple[int, ...]:
-    """Inline '+'/'-' string, or a path to a file with one sign per line.
+def _load_signs(value: str) -> str:
+    """Sign text from an inline '+'/'-' string, or from a path to a file
+    with one sign per line; ``simulate`` validates it.
 
     A value that reads both ways (a file named like a sign string) is
     refused rather than silently taken as inline signs.
@@ -120,71 +103,57 @@ def _load_signs(value: str) -> tuple[int, ...]:
                 f"and as the existing file {value!r}; name the file with a "
                 f"directory prefix such as {os.path.join(os.curdir, value)!r}"
             )
-        return parse_signs(stripped)
+        return stripped
     if is_file:
-        signs = []
+        chars = []
         with open(value, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 token = line.strip()
                 if not token:
                     continue
-                if token in ("+", "+1"):
-                    signs.append(1)
-                elif token in ("-", "−", "-1"):
-                    signs.append(-1)
-                else:
+                if token not in _FILE_SIGNS:
                     raise InputError(
                         f"{value}:{lineno}: expected one sign per line, got {token!r}"
                     )
-        return tuple(signs)
+                chars.append(_FILE_SIGNS[token])
+        return "".join(chars)
     raise InputError(f"--signs {value!r} is neither a sign string nor an existing file")
 
 
-def _cmd_qinf(args: argparse.Namespace) -> int:
+def _cmd_qinf(args: argparse.Namespace) -> Response:
     root = q_infinity(args.tol)
     if args.format == "json":
-        payload = {"q_inf": root, "tol": args.tol, "poly_residual": qinf_poly(root)}
-        _emit(_dump_json(payload), args.out)
-    else:
-        digits = min(15, max(1, math.ceil(-math.log10(args.tol))))
-        _emit(f"{root:.{digits}f}\n", args.out)
-    return 0
+        return 0, {"q_inf": root, "tol": args.tol, "poly_residual": qinf_poly(root)}
+    digits = min(15, max(1, math.ceil(-math.log10(args.tol))))
+    return 0, f"{root:.{digits}f}\n"
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> Response:
     result = classify(args.q, search_degree=args.search_degree)
+    code = 1 if result.kind in (FeasibilityKind.INFEASIBLE, FeasibilityKind.UNKNOWN) else 0
     payload: dict[str, Any] = {"class": result.kind.value, "q": args.q}
-    if result.witness_gap is not None:
-        payload["witness_gap"] = result.witness_gap
-    if result.threshold is not None:
-        payload["threshold"] = result.threshold
-    if isinstance(result.certificate, Certificate):
-        payload["certificate"] = result.certificate
-    elif isinstance(result.certificate, CertificateFailure):
-        payload["certificate_failure"] = result.certificate
-    if result.pattern is not None:
-        payload["pattern"] = result.pattern.to_text()
-    if result.root is not None:
-        payload["root"] = result.root
-    if result.searched_degree is not None:
-        payload["searched_degree"] = result.searched_degree
+    for key, value in result._asdict().items():
+        if key == "kind" or value is None:
+            continue
+        if isinstance(value, CertificateFailure):
+            key = "certificate_failure"
+        payload[key] = value.to_text() if isinstance(value, PMPattern) else value
     if args.format == "json":
-        _emit(_dump_json(payload), args.out)
-    else:
-        extras = ", ".join(
-            f"{k}={_txt(v) if isinstance(v, float) else v}"
-            for k, v in payload.items()
-            if k not in ("class", "q") and not isinstance(v, tuple)
-        )
-        line = f"{result.kind.value} (q={_txt(args.q)}" + (f", {extras}" if extras else "") + ")\n"
-        _emit(line, args.out)
-    return 1 if result.kind in (FeasibilityKind.INFEASIBLE, FeasibilityKind.UNKNOWN) else 0
+        return code, payload
+    extras = "".join(
+        f", {k}={_txt(v) if isinstance(v, float) else v}"
+        for k, v in payload.items()
+        if k not in ("class", "q") and not isinstance(v, tuple)
+    )
+    return code, f"{result.kind.value} (q={_txt(args.q)}{extras})\n"
 
 
-def _cmd_greedy(args: argparse.Namespace) -> int:
+def _cmd_greedy(args: argparse.Namespace) -> Response:
     seq = geometric_fair_division(args.q, args.scoops)
+    if args.format == "text":
+        return 0, seq.to_text() + "\n"
     sign_sums, residuals = prefix_diagnostics(seq, args.q)
-    payload = {
+    return 0, {
         "q": args.q,
         "scoops": args.scoops,
         "signs": seq.to_text(),
@@ -192,100 +161,73 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         "final_residual": residuals[-1],
         "final_residual_bound": args.q ** (args.scoops + 1) / (1.0 + args.q),
     }
-    if args.format == "json":
-        _emit(_dump_json(payload), args.out)
-    else:
-        _emit(seq.to_text() + "\n", args.out)
-    return 0
 
 
-def _cmd_periodic_search(args: argparse.Namespace) -> int:
+def _cmd_periodic_search(args: argparse.Namespace) -> Response:
     results = min_period_search(args.max_degree)
-    rows = []
-    for degree in sorted(results):
-        for hit in results[degree]:
-            rows.append(
-                {
-                    "degree": degree,
-                    "pattern": hit.pattern.to_text(),
-                    "roots": list(hit.roots),
-                    "negation_partner": hit.negation_partner,
-                    "canonical": hit.canonical,
-                }
-            )
+    rows = [
+        {
+            "degree": degree,
+            "pattern": hit.pattern.to_text(),
+            "roots": list(hit.roots),
+            "negation_partner": hit.negation_partner,
+            "canonical": hit.canonical,
+        }
+        for degree in sorted(results)
+        for hit in results[degree]
+    ]
+    code = 0 if rows else 1
     if args.format == "json":
-        _emit(_dump_json(rows), args.out)
-    else:
-        lines = [
-            f"N={row['degree']} {row['pattern']} roots=" +
-            ",".join(_txt(r) for r in row["roots"])
-            for row in rows
-        ] or ["no fair periodic patterns found"]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if rows else 1
+        return code, rows
+    lines = [
+        f"N={row['degree']} {row['pattern']} roots=" + ",".join(_txt(r) for r in row["roots"])
+        for row in rows
+    ] or ["no fair periodic patterns found"]
+    return code, "\n".join(lines) + "\n"
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.N is not None:
-        result = verify_certificate(args.q, args.N)
-    else:
-        result = auto_certificate(args.q, n_max=args.n_max)
-    if isinstance(result, CertificateFailure):
-        return _emit_failure(result, args)
+def _cmd_certify(args: argparse.Namespace) -> Response:
+    cert = _certificate(args)
+    if isinstance(cert, CertificateFailure):
+        return _failure(cert, args)
     if args.format == "json":
-        _emit(_dump_json({"certificate": result}), args.out)
-    else:
-        _emit(
-            f"certified q={_txt(result.q)} with N={result.N}, A={_txt(result.A)}\n",
-            args.out,
-        )
-    return 0
+        return 0, {"certificate": cert}
+    return 0, f"certified q={_txt(cert.q)} with N={cert.N}, A={_txt(cert.A)}\n"
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    cert = None
-    if args.N is not None:
-        result = verify_certificate(args.q, args.N)
-        if isinstance(result, CertificateFailure):
-            return _emit_failure(result, args)
-        cert = result
-    try:
-        plan = construct_bounded(args.q, args.scoops, cert=cert)
-    except CertificateError as exc:
-        return _emit_failure(exc.failure, args)
-    if args.format == "json":
-        _emit(_dump_json(_plan_payload(plan)), args.out)
-    else:
-        _emit(plan.seq.to_text() + "\n", args.out)
-    return 0
+def _cmd_construct(args: argparse.Namespace) -> Response:
+    cert = _certificate(args)
+    if isinstance(cert, CertificateFailure):
+        return _failure(cert, args)
+    plan = construct_bounded(args.q, args.scoops, cert=cert)
+    if args.format == "text":
+        return 0, plan.seq.to_text() + "\n"
+    return 0, {
+        "q": args.q,
+        "scoops": len(plan.seq),
+        "signs": plan.seq.to_text(),
+        "certificate": cert,
+        "blocks": [
+            {"end": k, "residual": r, "bound": cert.A * args.q**k}
+            for k, r in zip(plan.block_ends, plan.residuals_at_blocks)
+        ],
+    }
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    seq = _load_signs(args.signs)
-    trace = simulate(args.q, seq, steps=args.steps)
+def _cmd_simulate(args: argparse.Namespace) -> Response:
+    trace = simulate(args.q, _load_signs(args.signs), steps=args.steps)
     if args.format == "json":
         final = trace.final
-        payload = {
+        return 0, {
             "q": args.q,
             "steps": len(trace),
             "imbalance1": final.imbalance1,
             "imbalance2": final.imbalance2,
             "stuff2_remaining": args.q ** len(trace),
         }
-        _emit(_dump_json(payload), args.out)
-        return 0
     buf = io.StringIO()
     write_trace_csv(trace, buf)
-    _emit(buf.getvalue(), args.out)
-    return 0
-
-
-def _unit_open(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
-    return value
+    return 0, buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qinf)
 
     p = sub.add_parser("classify", help="place q into the known feasibility regimes")
-    p.add_argument("--q", type=_unit_open, required=True)
+    p.add_argument("--q", type=float, required=True)
     p.add_argument("--search-degree", type=int, default=12)
     add_common(p, "json")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("greedy", help="greedy paired division for q >= 1/sqrt(2)")
-    p.add_argument("--q", type=_unit_open, required=True)
+    p.add_argument("--q", type=float, required=True)
     p.add_argument("--scoops", type=int, required=True)
     add_common(p, "json")
     p.set_defaults(func=_cmd_greedy)
@@ -326,21 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_periodic_search)
 
     p = sub.add_parser("certify", help="verify a covering certificate for q")
-    p.add_argument("--q", type=_unit_open, required=True)
+    p.add_argument("--q", type=float, required=True)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     add_common(p, "json")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("construct", help="build a boundedly fair division from a certificate")
-    p.add_argument("--q", type=_unit_open, required=True)
+    p.add_argument("--q", type=float, required=True)
     p.add_argument("--scoops", type=int, required=True)
     p.add_argument("--N", type=int, default=None)
     add_common(p, "json")
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct, n_max=DEFAULT_N_MAX)
 
     p = sub.add_parser("simulate", help="scoop-by-scoop two-stuff trace")
-    p.add_argument("--q", type=_unit_open, required=True)
+    p.add_argument("--q", type=float, required=True)
     p.add_argument("--signs", required=True, help="inline +/- string or path to a sign file")
     p.add_argument("--steps", type=int, default=None)
     add_common(p, "csv", formats=("csv", "json"))
@@ -355,17 +297,18 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "q", None) is not None:
-        try:
-            require_unit_open(args.q)
-        except DomainError as exc:
-            print(f"soupdiv: error: {exc}", file=sys.stderr)
-            return 2
     try:
-        return args.func(args)
+        code, output = args.func(args)
     except (DomainError, InputError) as exc:
         print(f"soupdiv: error: {exc}", file=sys.stderr)
         return 2
+    text = output if isinstance(output, str) else _dump_json(output)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

@@ -53,11 +53,10 @@ class InputError(ValueError):
     """Structurally invalid input: bad sign characters, mismatched lengths, ..."""
 
 
-def require_unit_open(q: float, name: str = "q") -> float:
+def require_unit_open(q: float) -> None:
     """Validate q in the open interval (0, 1); rejects NaN as a side effect."""
     if not (0.0 < q < 1.0):
-        raise DomainError(f"{name} must lie strictly between 0 and 1, got {q!r}")
-    return float(q)
+        raise DomainError(f"q must lie strictly between 0 and 1, got {q!r}")
 
 
 def parse_signs(text: str) -> tuple[int, ...]:
@@ -128,8 +127,9 @@ class PMPattern:
         return len(self.signs)
 
     def negated(self) -> "PMPattern":
-        """The plate-swapped pattern (every sign flipped)."""
-        return PMPattern(tuple(-s for s in self.signs))
+        """The plate-swapped pattern (every sign flipped), which is balanced
+        whenever this one is, so it skips re-validation."""
+        return PMPattern._trusted(tuple(-s for s in self.signs))
 
     def __len__(self) -> int:
         return len(self.signs)

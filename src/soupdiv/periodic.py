@@ -49,7 +49,6 @@ from .core import (
     bisect_root,
     eval_pm,
     require_unit_open,
-    signs_to_text,
 )
 
 # Most balanced patterns one search may enumerate. Degree 18 (66,196 patterns
@@ -407,7 +406,7 @@ def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
             for pattern in enumerate_balanced(n):
                 report = pattern_roots(pattern)
                 if report.roots:
-                    partner = signs_to_text(-s for s in pattern.signs)
+                    partner = pattern.negated().to_text()
                     hits.append(
                         PeriodicHit(
                             pattern=pattern,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import soupdiv.core as core
 import soupdiv.periodic as periodic
 from soupdiv.cli import run
 
@@ -274,6 +275,25 @@ def test_simulate_signs_leading_minus_needs_equals(tmp_path, capsys):
     assert out_inline.splitlines()[1].startswith("1,-1,")
 
 
+def test_simulate_checks_each_sign_once(tmp_path, monkeypatch, capsys):
+    # the signs reach simulate as text, so parse_signs is their only check
+    checked = []
+    for name in ("parse_signs", "_validated_signs"):
+        def spy(signs, check=getattr(core, name), name=name):
+            result = check(signs)
+            checked.append((name, len(result)))
+            return result
+
+        monkeypatch.setattr(core, name, spy)
+    sign_file = tmp_path / "signs.txt"
+    sign_file.write_text("+\n-1\n\u2212\n+1\n-\n", encoding="utf-8")
+    for signs, count in ((str(sign_file), 5), ("+-+-", 4)):
+        checked.clear()
+        code, _, err = invoke(capsys, "simulate", "--q", "0.5", "--signs", signs)
+        assert code == 0, err
+        assert checked == [("parse_signs", count)]
+
+
 def test_simulate_json_summary(capsys):
     code, out, _ = invoke(
         capsys, "simulate", "--q", "0.5", "--signs", "+-+-", "--format", "json"
@@ -303,6 +323,18 @@ def test_domain_errors_exit_two(capsys):
         assert code == 2, argv
         assert out == ""
         assert err
+    # q is checked by the library function that uses it, once
+    for argv, bad in (
+        (["certify", "--q", "1.5"], "1.5"),
+        (["construct", "--q", "1.5", "--scoops", "10"], "1.5"),
+        (["greedy", "--q", "1.5", "--scoops", "10"], "1.5"),
+        (["simulate", "--q", "1.5", "--signs", "+-"], "1.5"),
+        (["classify", "--q", "zzz"], "'zzz'"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "q" in err and bad in err, err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -331,17 +363,45 @@ def test_byte_identical_reruns(capsys):
         assert first == second
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["certify", "--q", "0.62"], "certify_q0.62.json"),
-        (["construct", "--q", "0.62", "--scoops", "12"], "construct_q0.62_scoops12.json"),
-        (["classify", "--q", "0.6"], "classify_q0.6.json"),
+# Pinned stdout bytes and exit codes, text and failure paths included;
+# tests/golden/simulate_signs.txt is an input that mixes every sign token.
+GOLDEN_CASES = [
+    (["certify", "--q", "0.62"], "certify_q0.62.json", 0),
+    (["construct", "--q", "0.62", "--scoops", "12"], "construct_q0.62_scoops12.json", 0),
+    (["classify", "--q", "0.6"], "classify_q0.6.json", 0),
+    (["qinf"], "qinf.txt", 0),
+    (["qinf", "--format", "json"], "qinf.json", 0),
+    *[
+        (["classify", "--q", q, *fmt], f"classify_q{q}.{ext}", code)
+        for q, code in (("0.4", 1), ("0.56", 1), ("0.618033988749895", 0), ("0.75", 0))
+        for fmt, ext in (((), "json"), (("--format", "text"), "txt"))
     ],
+    (["greedy", "--q", "0.75", "--scoops", "10"], "greedy_q0.75_scoops10.json", 0),
+    (["greedy", "--q", "0.75", "--scoops", "10", "--format", "text"], "greedy_q0.75_scoops10.txt", 0),
+    (["periodic-search", "--max-degree", "8"], "periodic_search_8.json", 0),
+    (["periodic-search", "--max-degree", "8", "--format", "text"], "periodic_search_8.txt", 0),
+    (["certify", "--q", "0.55"], "certify_q0.55.json", 1),
+    (["certify", "--q", "0.55", "--format", "text"], "certify_q0.55.txt", 1),
+    (
+        ["construct", "--q", "0.55", "--scoops", "10", "--N", "4", "--format", "text"],
+        "construct_q0.55_scoops10_N4.txt",
+        1,
+    ),
+    (["simulate", "--q", "0.6", "--signs", str(GOLDEN_DIR / "simulate_signs.txt")], "simulate_q0.6.csv", 0),
+    (
+        ["simulate", "--q", "0.6", "--signs", str(GOLDEN_DIR / "simulate_signs.txt"), "--format", "json"],
+        "simulate_q0.6.json",
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, golden, expected_code", GOLDEN_CASES, ids=[case[1] for case in GOLDEN_CASES]
 )
-def test_json_payloads_match_golden_bytes(capsys, argv, golden):
-    code, out, _ = invoke(capsys, *argv)
-    assert code == 0
+def test_outputs_match_golden_bytes(capsys, argv, golden, expected_code):
+    code, out, err = invoke(capsys, *argv)
+    assert code == expected_code, err
     assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
