@@ -56,7 +56,7 @@ class CertificateError(RuntimeError):
 
 
 # Memoized: construct_bounded asks for one pattern per block, nearly always a
-# short one, and PMPattern is frozen, so callers can share the instances.
+# short one, and a PMPattern is an immutable tuple, so callers can share them.
 @functools.lru_cache(maxsize=DEFAULT_N_MAX, typed=True)
 def pn_pattern(n: int) -> PMPattern:
     """Alternating balanced pattern of degree 2n: '+' at exponent 1, then
@@ -200,20 +200,17 @@ def verify_certificate(q: float, N: int) -> Union[Certificate, CertificateFailur
     return Certificate(q=q, N=N, A=A, pn_values=values, checks=checks)
 
 
-def auto_certificate(
-    q: float, n_max: int = DEFAULT_N_MAX
-) -> Union[Certificate, CertificateFailure]:
-    """Try N = 1, 2, 4, ... up to n_max; return the first certificate.
+def auto_certificate(q: float) -> Union[Certificate, CertificateFailure]:
+    """Try N = 1, 2, 4, ... up to :data:`DEFAULT_N_MAX`; return the first
+    certificate.
 
     Doubling reaches the asymptotic regime (A close to its limit) in a
     logarithmic number of attempts. On total failure the result carries the
     diagnostics of the largest N tried.
     """
-    if n_max < 1:
-        raise InputError(f"n_max must be a positive integer, got {n_max!r}")
     result: Union[Certificate, CertificateFailure, None] = None
     N = 1
-    while N <= n_max:
+    while N <= DEFAULT_N_MAX:
         result = verify_certificate(q, N)
         if isinstance(result, Certificate):
             return result
@@ -300,16 +297,16 @@ def construct_bounded(
         x0 = min(x0, cert.A)
         step = approximate_step(x0, cert)
         if r > 0.0:
-            signs.extend(-s for s in step.pattern.signs)
+            signs.extend(-s for s in step.pattern)
             r = q_pow_k * step.residual
         else:
-            signs.extend(step.pattern.signs)
+            signs.extend(step.pattern)
             r = -q_pow_k * step.residual
         k += 2 * step.n
         block_ends.append(k)
         residuals.append(r)
     return FairDivisionPlan(
-        seq=PMPattern._trusted(tuple(signs)),
+        seq=PMPattern._trusted(signs),
         block_ends=tuple(block_ends),
         residuals_at_blocks=tuple(residuals),
         certificate=cert,

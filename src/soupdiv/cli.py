@@ -7,7 +7,8 @@ stdout (or ``--out``), so a command that raises writes nothing. Numeric
 flags are checked by the library function that uses them, and the same argv
 always yields byte-identical output. Exit codes: 0 for a positive result, 1
 for a negative or unknown result (infeasible q, failed certification, empty
-search), 2 for usage or domain errors.
+search), 2 for usage or domain errors and for a ``--signs`` or ``--out``
+path that cannot be read or written.
 
 Reals are printed with 15 significant digits in JSON and 6 in text mode;
 ``qinf`` text output is rounded to the decimals justified by its bisection
@@ -25,7 +26,6 @@ import sys
 from typing import Any, Optional, Sequence, Union
 
 from .approx import (
-    DEFAULT_N_MAX,
     Certificate,
     CertificateFailure,
     auto_certificate,
@@ -66,10 +66,10 @@ def _txt(x: float) -> str:
 
 
 def _certificate(args: argparse.Namespace) -> Union[Certificate, CertificateFailure]:
-    """Verify the certificate at ``--N`` when given, else search up to ``--n-max``."""
+    """Verify the certificate at ``--N`` when given, else search for one."""
     if args.N is not None:
         return verify_certificate(args.q, args.N)
-    return auto_certificate(args.q, n_max=args.n_max)
+    return auto_certificate(args.q)
 
 
 def _failure(failure: CertificateFailure, args: argparse.Namespace) -> Response:
@@ -106,16 +106,19 @@ def _load_signs(value: str) -> str:
         return stripped
     if is_file:
         chars = []
-        with open(value, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                token = line.strip()
-                if not token:
-                    continue
-                if token not in _FILE_SIGNS:
-                    raise InputError(
-                        f"{value}:{lineno}: expected one sign per line, got {token!r}"
-                    )
-                chars.append(_FILE_SIGNS[token])
+        try:
+            with open(value, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    token = line.strip()
+                    if not token:
+                        continue
+                    if token not in _FILE_SIGNS:
+                        raise InputError(
+                            f"{value}:{lineno}: expected one sign per line, got {token!r}"
+                        )
+                    chars.append(_FILE_SIGNS[token])
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{value}: not a UTF-8 text file ({exc.reason})") from None
         return "".join(chars)
     raise InputError(f"--signs {value!r} is neither a sign string nor an existing file")
 
@@ -270,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="verify a covering certificate for q")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     add_common(p, "json")
     p.set_defaults(func=_cmd_certify)
 
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scoops", type=int, required=True)
     p.add_argument("--N", type=int, default=None)
     add_common(p, "json")
-    p.set_defaults(func=_cmd_construct, n_max=DEFAULT_N_MAX)
+    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("simulate", help="scoop-by-scoop two-stuff trace")
     p.add_argument("--q", type=float, required=True)
@@ -299,15 +301,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         code, output = args.func(args)
-    except (DomainError, InputError) as exc:
+        text = output if isinstance(output, str) else _dump_json(output)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+    except (DomainError, InputError, OSError) as exc:
         print(f"soupdiv: error: {exc}", file=sys.stderr)
         return 2
-    text = output if isinstance(output, str) else _dump_json(output)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return code
 
 

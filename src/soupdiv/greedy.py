@@ -54,4 +54,4 @@ def geometric_fair_division(q: float, n_scoops: int) -> PMPattern:
         sign = -1 if residual > 0.0 else 1
         signs += (sign, -sign)
         residual += sign * (q ** (2 * k - 1) * (1.0 - q))
-    return PMPattern._trusted(tuple(signs))
+    return PMPattern._trusted(signs)

@@ -117,7 +117,7 @@ def enumerate_balanced(n: int) -> Iterator[PMPattern]:
         signs = [-1] * n
         for pos in plus_positions:
             signs[pos] = 1
-        yield PMPattern._trusted(tuple(signs))
+        yield PMPattern._trusted(signs)
 
 
 def require_search_budget(max_degree: int) -> int:
@@ -223,7 +223,7 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
         if _excluded(k, a, b, p_lo, p_hi, s_lo, s_hi):
             return None
         if not (a or b):
-            pattern = PMPattern._trusted(tuple(signs))
+            pattern = PMPattern._trusted(signs)
             f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
             if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
                 return pattern
@@ -368,24 +368,17 @@ def pattern_roots(pattern: PMPattern) -> RootReport:
     Divides the pattern by x and by (1-x) as often as it vanishes at 1,
     which leaves an integer cofactor nonzero at both ends, isolates the
     cofactor's roots in (0, 1) and bisects each to width <= ``core.TOL``.
-    Roots within 2*TOL of either endpoint are discarded and roots within
-    2*TOL of each other merged. An empty root list is a perfectly normal
-    outcome.
+    Every root is reported once, in increasing order: the isolating
+    intervals are disjoint and lie in (0, 1), and no root is dyadic, so each
+    bisected root lies strictly inside its own interval. An empty root list
+    is a perfectly normal outcome.
     """
     cofactor = list(as_signs(pattern))  # the pattern divided by x
     if not cofactor:
         raise InputError("cannot find roots of an empty sign sequence")
     while sum(cofactor) == 0:  # divide by (1 - x): prefix sums
         cofactor = list(accumulate(cofactor))[:-1]
-
-    roots: list[float] = []
-    for r in _unit_interval_roots(cofactor):
-        if r < 2.0 * TOL or r > 1.0 - 2.0 * TOL:
-            continue
-        if roots and r - roots[-1] <= 2.0 * TOL:
-            continue
-        roots.append(r)
-    return RootReport(pattern=pattern, roots=tuple(roots))
+    return RootReport(pattern=pattern, roots=tuple(_unit_interval_roots(cofactor)))
 
 
 def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:

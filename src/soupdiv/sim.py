@@ -8,13 +8,13 @@ residual sum_{i<=k} s_i q^i with factor (1-q)/q; the simulator computes the
 deliveries independently so that identity can be verified rather than
 assumed.
 
-A trace is stored by column (:class:`SimulationTrace`): the signs, and after
-every scoop the whole-scoop imbalance and the surface stuff on each plate,
-in stdlib arrays of 8 bytes per scoop each. The other fields of the CSV
-schema follow from these, so :attr:`SimulationTrace.rows` is a read-only
-view that builds a :class:`TraceRow` only when one is read; a 10^5-scoop
-trace takes about 3 MiB instead of one object per scoop. The deliveries
-themselves (one dissolved unit, and (1-q) * q^(i-1)) are not stored.
+A trace (:class:`SimulationTrace`) is the read-only sequence of its rows,
+stored by column: the signs, and after every scoop the whole-scoop
+imbalance and the surface stuff on each plate, in stdlib arrays of 8 bytes
+per scoop each. The other fields of the CSV schema follow from these, so a
+:class:`TraceRow` is built only when one is read; a 10^5-scoop trace takes
+about 3 MiB instead of one object per scoop. The deliveries themselves (one
+dissolved unit, and (1-q) * q^(i-1)) are not stored.
 
 Verdicts of :func:`fairness_report` are observational statements about the
 finite trace, never proofs about the limit. Likewise :func:`classify` is
@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import enum
 from array import array
-from dataclasses import dataclass
 from itertools import count
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -70,55 +69,46 @@ def _row(k: int, s: int, d: int, plus2: float, minus2: float) -> TraceRow:
     return TraceRow(k, s, (k + d) // 2, (k - d) // 2, plus2, minus2, d, plus2 - minus2)
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
-    """A simulated run, stored by column: after scoop k (1-based) the
-    whole-scoop imbalance is ``imbalance1[k-1]`` and the surface stuff on
-    the plates is ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``. Every
-    other :class:`TraceRow` field follows from these; :attr:`rows` builds
-    rows on demand."""
+class SimulationTrace(Sequence[TraceRow]):
+    """A simulated run: a read-only sequence of :class:`TraceRow`, one per
+    scoop, stored by column. After scoop k (1-based) the whole-scoop
+    imbalance is ``imbalance1[k-1]`` and the surface stuff on the plates is
+    ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``; every other row field
+    follows from these, so a row is built only when it is read."""
 
-    q: float
-    signs: tuple[int, ...]
-    imbalance1: array  # typecode "q"
-    stuff2_plus: array  # typecode "d"
-    stuff2_minus: array  # typecode "d"
+    __slots__ = ("q", "signs", "imbalance1", "stuff2_plus", "stuff2_minus")
+
+    def __init__(self, q: float, signs: tuple[int, ...], imbalance1: array,
+                 stuff2_plus: array, stuff2_minus: array) -> None:
+        self.q = q
+        self.signs = signs
+        self.imbalance1 = imbalance1  # typecode "q"
+        self.stuff2_plus = stuff2_plus  # typecode "d"
+        self.stuff2_minus = stuff2_minus  # typecode "d"
 
     def __len__(self) -> int:
         return len(self.signs)
 
+    def __getitem__(self, i: int) -> TraceRow:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("trace row index out of range")
+        return _row(i + 1, self.signs[i], self.imbalance1[i], self.stuff2_plus[i],
+                    self.stuff2_minus[i])
+
+    def __iter__(self) -> Iterator[TraceRow]:
+        return map(_row, count(1), self.signs, self.imbalance1, self.stuff2_plus,
+                   self.stuff2_minus)
+
     @property
-    def rows(self) -> "TraceRows":
-        return TraceRows(self)
+    def rows(self) -> "SimulationTrace":
+        """The trace itself, which is its own row sequence."""
+        return self
 
     @property
     def final(self) -> TraceRow:
-        return self.rows[-1]
-
-
-class TraceRows(Sequence[TraceRow]):
-    """Read-only row view of a :class:`SimulationTrace`; a row is built only
-    when it is read, so a long trace never holds one object per scoop."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: SimulationTrace) -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def __getitem__(self, i: int) -> TraceRow:
-        t = self._trace
-        if i < 0:
-            i += len(t)
-        if not 0 <= i < len(t):
-            raise IndexError("trace row index out of range")
-        return _row(i + 1, t.signs[i], t.imbalance1[i], t.stuff2_plus[i], t.stuff2_minus[i])
-
-    def __iter__(self) -> Iterator[TraceRow]:
-        t = self._trace
-        return map(_row, count(1), t.signs, t.imbalance1, t.stuff2_plus, t.stuff2_minus)
+        return self[-1]
 
 
 def simulate(q: float, signs: Signs, steps: Optional[int] = None) -> SimulationTrace:
@@ -126,7 +116,9 @@ def simulate(q: float, signs: Signs, steps: Optional[int] = None) -> SimulationT
 
     The surface delivery of scoop i is (1-q) * q^(i-1), with q^(i-1) built by
     repeated multiplication and added to its plate in scoop order; the
-    stored columns depend on that order down to the last bit.
+    stored columns depend on that order down to the last bit. The trace
+    keeps the checked signs as its sign column, copying them only when
+    ``steps`` cuts them short.
     """
     require_unit_open(q)
     sign_tuple = as_signs(signs)
@@ -138,7 +130,8 @@ def simulate(q: float, signs: Signs, steps: Optional[int] = None) -> SimulationT
         raise InputError(
             f"steps={steps} exceeds the supplied sign sequence length {len(sign_tuple)}"
         )
-    sign_tuple = sign_tuple[:steps]
+    if steps < len(sign_tuple):
+        sign_tuple = sign_tuple[:steps]
     imbalance1, stuff2_plus, stuff2_minus = array("q"), array("d"), array("d")
     d = 0
     plus2 = minus2 = 0.0
@@ -166,7 +159,6 @@ class Verdict(enum.Enum):
 class FairnessReport(NamedTuple):
     max_abs_imbalance1: int
     final_imbalance2: float
-    imbalance2_envelope: tuple[tuple[int, float], ...]
     verdict: Verdict
 
 
@@ -219,19 +211,19 @@ def fairness_report(
         raise InputError("cannot report on an empty trace")
     max_abs1 = max(max(trace.imbalance1), -min(trace.imbalance1))
     final2 = trace.stuff2_plus[-1] - trace.stuff2_minus[-1]
-    pairs: list[tuple[int, float]] = []
+    checked = 0
     enveloped_ok = True
     if envelope is not None:
         for k, plus2, minus2 in zip(count(1), trace.stuff2_plus, trace.stuff2_minus):
             bound = envelope(k)
             if bound is not None:
-                pairs.append((k, bound))
+                checked += 1
                 budget = k * TRACE_TOL_PER_SCOOP
                 enveloped_ok = enveloped_ok and abs(plus2 - minus2) <= bound + budget
     if 2 * abs(trace.imbalance1[-1]) >= n:
         verdict = Verdict.DIVERGING
     elif (
-        pairs
+        checked
         and enveloped_ok
         and imbalance1_cap is not None
         and max_abs1 <= imbalance1_cap
@@ -242,7 +234,6 @@ def fairness_report(
     return FairnessReport(
         max_abs_imbalance1=max_abs1,
         final_imbalance2=final2,
-        imbalance2_envelope=tuple(pairs),
         verdict=verdict,
     )
 

@@ -31,6 +31,7 @@ from soupdiv import (
     qinf_poly,
     simulate,
 )
+from soupdiv.approx import DEFAULT_N_MAX
 from soupdiv.cli import run
 
 PHI_INV = 0.6180339887
@@ -114,16 +115,17 @@ def _exact_gap_ratio(q: float, n: int) -> float:
 def test_criterion_4_certificate_regime(capsys):
     start = time.monotonic()
     q_inf = q_infinity(1e-12)
+    assert DEFAULT_N_MAX == 64  # auto_certificate tries N = 1, 2, 4, ..., 64
 
     lo, hi = q_inf + 0.002, 0.99
     success_grid = [lo + (hi - lo) * (i + 0.5) / 50 for i in range(50)]
     for q in success_grid:
-        assert isinstance(auto_certificate(q, n_max=64), Certificate), q
+        assert isinstance(auto_certificate(q), Certificate), q
 
     lo, hi = 0.502, q_inf - 0.002
     failure_grid = [lo + (hi - lo) * (i + 0.5) / 20 for i in range(20)]
     for q in failure_grid:
-        assert isinstance(auto_certificate(q, n_max=64), CertificateFailure), q
+        assert isinstance(auto_certificate(q), CertificateFailure), q
 
     for q in success_grid[::7] + failure_grid[::5]:
         expected = covering_ratio(q)

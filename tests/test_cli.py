@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import soupdiv
 import soupdiv.core as core
 import soupdiv.periodic as periodic
 from soupdiv.cli import run
@@ -294,6 +298,48 @@ def test_simulate_checks_each_sign_once(tmp_path, monkeypatch, capsys):
         assert checked == [("parse_signs", count)]
 
 
+def test_simulate_sign_file_unknown_token(tmp_path, capsys):
+    sign_file = tmp_path / "signs.txt"
+    sign_file.write_text("+\n-\n\n+2\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "simulate", "--q", "0.5", "--signs", str(sign_file))
+    assert code == 2
+    assert out == ""
+    assert f"{sign_file}:4: expected one sign per line, got '+2'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--q", "0.5", "--signs", "."], "Is a directory: '.'"),
+        (["simulate", "--q", "0.5", "--signs", "latin1.txt"], "latin1.txt: not a UTF-8 text file"),
+        (["qinf", "--out", "."], "Is a directory: '.'"),
+    ],
+    ids=["signs-directory", "signs-not-utf8", "out-directory"],
+)
+def test_unusable_paths_exit_two(tmp_path, monkeypatch, capsys, argv, message):
+    # a path that cannot be read or written is a usage error, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes(b"+\n\xe9\n")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("soupdiv: error: ") and message in err, err
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every soupdiv process pays for what the package imports
+    probe = (
+        "import sys, soupdiv, soupdiv.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(Path(soupdiv.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 def test_simulate_json_summary(capsys):
     code, out, _ = invoke(
         capsys, "simulate", "--q", "0.5", "--signs", "+-+-", "--format", "json"
@@ -341,6 +387,8 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "classify", "--q", "zzz")[0] == 2
     assert invoke(capsys, "classify")[0] == 2
     assert invoke(capsys, "classify", "--q", "0.4", "--bogus")[0] == 2
+    # auto_certificate always tries N = 1, 2, 4, ..., DEFAULT_N_MAX
+    assert invoke(capsys, "certify", "--q", "0.62", "--n-max", "64")[0] == 2
 
 
 def test_output_to_file(tmp_path, capsys):

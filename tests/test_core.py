@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,22 @@ def test_pattern_requires_balance():
     assert PMPattern.from_text("+-").degree == 2
 
 
+def test_pattern_is_its_sign_tuple():
+    pattern = PMPattern.from_text("+--+")
+    assert pattern == (1, -1, -1, 1)
+    assert hash(pattern) == hash((1, -1, -1, 1))
+    assert pattern.signs is pattern
+    assert as_signs(pattern) is pattern
+    assert repr(pattern) == "PMPattern(signs=(1, -1, -1, 1))"
+    with pytest.raises(AttributeError):
+        pattern.signs = (1, -1)
+    with pytest.raises(AttributeError):
+        pattern.extra = 1
+    with pytest.raises(TypeError):
+        pattern[0] = -1
+    assert pattern == (1, -1, -1, 1)
+
+
 def test_pattern_negation():
     pattern = PMPattern.from_text("+---++")
     assert pattern.negated().to_text() == "-+++--"
@@ -184,3 +201,17 @@ def test_bisect_root_brackets():
     # exact zeros at the left end or at a midpoint are returned as is
     assert bisect_root(lambda x: x - 0.25, 0.25, 1.0, 1e-12) == 0.25
     assert bisect_root(lambda x: x - 0.5, 0.0, 1.0, 1e-12) == 0.5
+
+
+def test_bisect_root_with_zero_tol_stops_at_float_resolution():
+    # the sign is exact and 1/3 is no float, so no midpoint is a zero; with
+    # tol = 0 the bracket shrinks until no float lies strictly inside it
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return Fraction(x) - Fraction(1, 3)
+
+    root = bisect_root(f, 0.0, 1.0, 0.0)
+    assert abs(root - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
+    assert len(calls) <= 60

@@ -93,8 +93,7 @@ def test_enumerated_patterns_equal_validated_ones():
     for n in (2, 4, 6, 8, 10):
         for pattern in enumerate_balanced(n):
             assert type(pattern) is PMPattern
-            assert type(pattern.signs) is tuple
-            assert PMPattern(pattern.signs) == pattern
+            assert PMPattern(tuple(pattern)) == pattern
 
 
 def test_enumerate_validation():

@@ -162,6 +162,34 @@ def test_simulate_peak_memory_is_columnar():
     assert peak <= 5 * 2**20, peak / 2**20
 
 
+def test_trace_is_its_own_row_sequence():
+    trace = simulate(0.5, "+-+-")
+    assert trace.rows is trace
+    assert [row.imbalance1 for row in trace] == [1, 0, 1, 0]
+    assert trace[-1] == trace.final == trace[3]
+
+
+def test_simulate_keeps_a_full_length_pattern():
+    seq = geometric_fair_division(0.75, 10)
+    assert simulate(0.75, seq).signs is seq
+    assert simulate(0.75, seq, steps=4).signs == seq[:4]
+
+
+def test_fairness_report_peak_memory():
+    # the verdict needs one pass over the columns, nothing per scoop
+    q = 0.75
+    trace = simulate(q, geometric_fair_division(q, 100_000))
+    envelope = greedy_envelope(q)
+    tracemalloc.start()
+    try:
+        report = fairness_report(trace, envelope=envelope, imbalance1_cap=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.BOUNDED_FAIR_OBSERVED
+    assert peak <= 2**20, peak / 2**20
+
+
 def test_golden_period_imbalance_returns_to_zero():
     signs = tuple(PMPattern.from_text("+---++").signs) * 50
     trace = simulate(PHI_INV, signs)
@@ -176,9 +204,12 @@ def test_fairness_report_greedy_bounded():
     report = fairness_report(trace, envelope=greedy_envelope(q), imbalance1_cap=1)
     assert report.verdict is Verdict.BOUNDED_FAIR_OBSERVED
     assert report.max_abs_imbalance1 == 1
-    assert report.imbalance2_envelope  # bounds recorded at even scoops
-    for k, bound in report.imbalance2_envelope:
-        assert abs(trace.rows[k - 1].imbalance2) <= bound + 1e-10
+    bound = greedy_envelope(q)
+    for row in trace.rows:  # the envelope is defined at every even scoop count
+        if row.index % 2 == 0:
+            assert abs(row.imbalance2) <= bound(row.index) + 1e-10
+        else:
+            assert bound(row.index) is None
 
 
 def test_fairness_report_certificate_plan():
