@@ -218,7 +218,7 @@ def _cmd_construct(args: argparse.Namespace) -> Response:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Response:
-    trace = simulate(args.q, _load_signs(args.signs), steps=args.steps)
+    trace = simulate(args.q, _load_signs(args.signs))
     if args.format == "json":
         final = trace.final
         return 0, {
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="scoop-by-scoop two-stuff trace")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--signs", required=True, help="inline +/- string or path to a sign file")
-    p.add_argument("--steps", type=int, default=None)
     add_common(p, "csv", formats=("csv", "json"))
     p.set_defaults(func=_cmd_simulate)
 

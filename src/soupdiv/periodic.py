@@ -20,8 +20,8 @@ and are searched separately; the global negation of a hit is always a hit
 with the same roots (plate swap), so each hit records its negation partner.
 
 :func:`min_period_search` enumerates every balanced pattern, a count that
-grows like 2^n/sqrt(n) in the degree, so it refuses up front when more than
-:data:`MAX_SEARCH_PATTERNS` patterns would be enumerated.
+grows like 2^n/sqrt(n) in the degree, so it refuses degrees above
+:data:`MAX_SEARCH_DEGREE` up front.
 
 The open-window branch of ``sim.classify`` asks a narrower question: which
 is the first balanced pattern that changes sign on a short window around q?
@@ -36,7 +36,7 @@ evaluate 1,274 patterns. It refuses degrees above
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from math import comb, gcd
+from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
 from .core import (
@@ -51,10 +51,9 @@ from .core import (
     require_unit_open,
 )
 
-# Most balanced patterns one search may enumerate. Degree 18 (66,196 patterns
-# through that degree; min_period_search(18) takes about 20 s on one Xeon
-# core) is admitted; degree 20 (250,952) and up is refused.
-MAX_SEARCH_PATTERNS = 100_000
+# Largest degree min_period_search enumerates: 66,196 balanced patterns
+# through degree 18 (about 20 s on one Xeon core), 250,952 through 20.
+MAX_SEARCH_DEGREE = 18
 
 # Limits of first_bracketed_pattern: the largest degree it searches (its
 # rounding argument assumes at most 64 terms) and the most prefix nodes one
@@ -118,25 +117,6 @@ def enumerate_balanced(n: int) -> Iterator[PMPattern]:
         for pos in plus_positions:
             signs[pos] = 1
         yield PMPattern._trusted(signs)
-
-
-def require_search_budget(max_degree: int) -> int:
-    """Count the balanced patterns of degree <= max_degree before a search.
-
-    Raises InputError, without enumerating anything, once the count exceeds
-    :data:`MAX_SEARCH_PATTERNS`; the count stops there, so an absurd degree
-    costs no more than a refused reasonable one.
-    """
-    count = 0
-    for n in range(2, max_degree + 1, 2):
-        count += comb(n, n // 2)
-        if count > MAX_SEARCH_PATTERNS:
-            raise InputError(
-                f"searching degrees <= {max_degree} enumerates more than "
-                f"{MAX_SEARCH_PATTERNS:,} balanced patterns ({count:,} through "
-                f"degree {n} alone); choose a smaller degree"
-            )
-    return count
 
 
 def _power_table(x: float, n: int) -> tuple[list[float], list[float]]:
@@ -387,11 +367,16 @@ def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
     Odd N carry an empty list (no balanced pattern exists). The enumeration
     order is deterministic, so the output is reproducible; no claim of having
     listed every fair division is made beyond the searched degrees. Raises
-    InputError up front beyond the pattern budget (:func:`require_search_budget`).
+    InputError before enumerating anything when the largest even degree
+    searched exceeds :data:`MAX_SEARCH_DEGREE` (so 19 is admitted).
     """
     if max_N < 2:
         raise InputError(f"max_N must be at least 2, got {max_N!r}")
-    require_search_budget(max_N)
+    if max_N // 2 * 2 > MAX_SEARCH_DEGREE:
+        raise InputError(
+            f"periodic search degree {max_N} exceeds the cap of "
+            f"{MAX_SEARCH_DEGREE}; choose a smaller degree"
+        )
     results: dict[int, list[PeriodicHit]] = {}
     for n in range(1, max_N + 1):
         hits: list[PeriodicHit] = []

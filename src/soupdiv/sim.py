@@ -89,13 +89,12 @@ class SimulationTrace(Sequence[TraceRow]):
     def __len__(self) -> int:
         return len(self.signs)
 
-    def __getitem__(self, i: int) -> TraceRow:
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("trace row index out of range")
-        return _row(i + 1, self.signs[i], self.imbalance1[i], self.stuff2_plus[i],
-                    self.stuff2_minus[i])
+    def __getitem__(self, i: Union[int, slice]) -> Union[TraceRow, list[TraceRow]]:
+        k = range(len(self))[i]
+        if isinstance(k, range):
+            return [self[j] for j in k]
+        return _row(k + 1, self.signs[k], self.imbalance1[k], self.stuff2_plus[k],
+                    self.stuff2_minus[k])
 
     def __iter__(self) -> Iterator[TraceRow]:
         return map(_row, count(1), self.signs, self.imbalance1, self.stuff2_plus,
@@ -111,27 +110,18 @@ class SimulationTrace(Sequence[TraceRow]):
         return self[-1]
 
 
-def simulate(q: float, signs: Signs, steps: Optional[int] = None) -> SimulationTrace:
-    """Run the division for ``steps`` scoops (default: all supplied signs).
+def simulate(q: float, signs: Signs) -> SimulationTrace:
+    """Run every scoop of the division ``signs``, which must be nonempty.
 
     The surface delivery of scoop i is (1-q) * q^(i-1), with q^(i-1) built by
     repeated multiplication and added to its plate in scoop order; the
     stored columns depend on that order down to the last bit. The trace
-    keeps the checked signs as its sign column, copying them only when
-    ``steps`` cuts them short.
+    keeps the checked signs themselves as its sign column.
     """
     require_unit_open(q)
     sign_tuple = as_signs(signs)
-    if steps is None:
-        steps = len(sign_tuple)
-    if steps < 1:
-        raise InputError(f"steps must be a positive integer, got {steps!r}")
-    if steps > len(sign_tuple):
-        raise InputError(
-            f"steps={steps} exceeds the supplied sign sequence length {len(sign_tuple)}"
-        )
-    if steps < len(sign_tuple):
-        sign_tuple = sign_tuple[:steps]
+    if not sign_tuple:
+        raise InputError("cannot simulate an empty sign sequence")
     imbalance1, stuff2_plus, stuff2_minus = array("q"), array("d"), array("d")
     d = 0
     plus2 = minus2 = 0.0

@@ -117,7 +117,8 @@ def test_exponential_searches_refused_up_front(monkeypatch, capsys):
     monkeypatch.setattr(periodic, "_excluded", refuse)
     monkeypatch.setattr(periodic, "_power_table", refuse)
     for argv, reason in (
-        (["periodic-search", "--max-degree", "40"], "balanced patterns"),
+        (["periodic-search", "--max-degree", "20"], "exceeds the cap of 18"),
+        (["periodic-search", "--max-degree", "40"], "exceeds the cap of 18"),
         (["classify", "--q", "0.55", "--search-degree", "66"], "exceeds the cap of 64"),
     ):
         code, out, err = invoke(capsys, *argv)
@@ -298,6 +299,15 @@ def test_simulate_checks_each_sign_once(tmp_path, monkeypatch, capsys):
         assert checked == [("parse_signs", count)]
 
 
+def test_simulate_empty_sign_file(tmp_path, capsys):
+    sign_file = tmp_path / "signs.txt"
+    sign_file.write_text("\n\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "simulate", "--q", "0.5", "--signs", str(sign_file))
+    assert code == 2
+    assert out == ""
+    assert err == "soupdiv: error: cannot simulate an empty sign sequence\n"
+
+
 def test_simulate_sign_file_unknown_token(tmp_path, capsys):
     sign_file = tmp_path / "signs.txt"
     sign_file.write_text("+\n-\n\n+2\n", encoding="utf-8")
@@ -350,12 +360,6 @@ def test_simulate_json_summary(capsys):
     assert payload["steps"] == 4
 
 
-def test_simulate_steps_validation(capsys):
-    code, _, err = invoke(capsys, "simulate", "--q", "0.5", "--signs", "+-", "--steps", "5")
-    assert code == 2
-    assert "error" in err
-
-
 def test_domain_errors_exit_two(capsys):
     for argv in (
         ["classify", "--q", "1.5"],
@@ -389,6 +393,8 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "classify", "--q", "0.4", "--bogus")[0] == 2
     # auto_certificate always tries N = 1, 2, 4, ..., DEFAULT_N_MAX
     assert invoke(capsys, "certify", "--q", "0.62", "--n-max", "64")[0] == 2
+    # a trace is always the whole division it was given
+    assert invoke(capsys, "simulate", "--q", "0.5", "--signs", "+-", "--steps", "5")[0] == 2
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -415,7 +421,9 @@ def test_byte_identical_reruns(capsys):
 # tests/golden/simulate_signs.txt is an input that mixes every sign token.
 GOLDEN_CASES = [
     (["certify", "--q", "0.62"], "certify_q0.62.json", 0),
+    (["certify", "--q", "0.62", "--format", "text"], "certify_q0.62.txt", 0),
     (["construct", "--q", "0.62", "--scoops", "12"], "construct_q0.62_scoops12.json", 0),
+    (["construct", "--q", "0.62", "--scoops", "12", "--format", "text"], "construct_q0.62_scoops12.txt", 0),
     (["classify", "--q", "0.6"], "classify_q0.6.json", 0),
     (["qinf"], "qinf.txt", 0),
     (["qinf", "--format", "json"], "qinf.json", 0),
@@ -428,6 +436,7 @@ GOLDEN_CASES = [
     (["greedy", "--q", "0.75", "--scoops", "10", "--format", "text"], "greedy_q0.75_scoops10.txt", 0),
     (["periodic-search", "--max-degree", "8"], "periodic_search_8.json", 0),
     (["periodic-search", "--max-degree", "8", "--format", "text"], "periodic_search_8.txt", 0),
+    (["periodic-search", "--max-degree", "4", "--format", "text"], "periodic_search_4.txt", 1),
     (["certify", "--q", "0.55"], "certify_q0.55.json", 1),
     (["certify", "--q", "0.55", "--format", "text"], "certify_q0.55.txt", 1),
     (

@@ -23,7 +23,7 @@ from soupdiv import (
     q_infinity,
 )
 from soupdiv.core import ROOT_MATCH_WINDOW, TOL, bisect_root
-from soupdiv.periodic import MAX_SEARCH_PATTERNS, require_search_budget
+from soupdiv.periodic import MAX_SEARCH_DEGREE
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN = "+---++"
@@ -307,12 +307,13 @@ def test_search_budget_refuses_before_enumerating(monkeypatch):
         raise AssertionError("enumerated patterns before checking the budget")
 
     monkeypatch.setattr(periodic, "enumerate_balanced", refuse)
-    with pytest.raises(InputError, match=f"more than {MAX_SEARCH_PATTERNS:,} balanced patterns"):
-        min_period_search(40)
-    for degree in (6, 8, 10, 12, 16):
-        assert require_search_budget(degree) == sum(
-            math.comb(n, n // 2) for n in range(2, degree + 1, 2)
-        )
+    for degree in (20, 40, 10**9):
+        with pytest.raises(InputError, match=f"exceeds the cap of {MAX_SEARCH_DEGREE};"):
+            min_period_search(degree)
+    # 19 adds no balanced pattern to 18, so both are admitted and enumerated
+    for degree in (MAX_SEARCH_DEGREE, MAX_SEARCH_DEGREE + 1):
+        with pytest.raises(AssertionError, match="enumerated patterns"):
+            min_period_search(degree)
 
 
 def test_fair_period_agrees_with_simulation():

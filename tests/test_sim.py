@@ -76,12 +76,10 @@ def test_simulate_residual_identity():
             assert abs(row.imbalance2 - scale * residual) <= row.index * 1e-15
 
 
-def test_simulate_step_validation():
-    with pytest.raises(InputError):
-        simulate(0.5, "+-", steps=3)
-    with pytest.raises(InputError):
-        simulate(0.5, "+-", steps=0)
-    assert len(simulate(0.5, "+-+-", steps=2)) == 2
+def test_simulate_refuses_an_empty_division():
+    for empty in ("", (), []):
+        with pytest.raises(InputError, match="cannot simulate an empty sign sequence"):
+            simulate(0.5, empty)
 
 
 def reference_simulate(q, signs, steps):
@@ -120,7 +118,7 @@ def reference_simulate(q, signs, steps):
 )
 def test_simulate_conservation_property(q, signs, data):
     steps = data.draw(st.integers(1, len(signs)), label="steps")
-    trace = simulate(q, signs, steps=steps)
+    trace = simulate(q, signs[:steps])
     rows = trace.rows
     listed = list(rows)
     assert len(trace) == len(rows) == len(listed) == steps
@@ -169,10 +167,21 @@ def test_trace_is_its_own_row_sequence():
     assert trace[-1] == trace.final == trace[3]
 
 
+def test_trace_slices_and_index_bounds():
+    trace = simulate(0.5, "+-+-")
+    rows = list(trace)
+    assert trace[1:3] == rows[1:3]
+    assert trace[-3:] == rows[-3:]
+    assert trace[::-2] == rows[::-2]
+    assert trace[5:] == []
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            trace[bad]
+
+
 def test_simulate_keeps_a_full_length_pattern():
     seq = geometric_fair_division(0.75, 10)
     assert simulate(0.75, seq).signs is seq
-    assert simulate(0.75, seq, steps=4).signs == seq[:4]
 
 
 def test_fairness_report_peak_memory():
