@@ -360,6 +360,14 @@ def test_simulate_json_summary(capsys):
     assert payload["steps"] == 4
 
 
+def test_simulate_steps_validation(capsys):
+    # a trace is always the whole division it was given, so --steps is refused
+    code, out, err = invoke(capsys, "simulate", "--q", "0.5", "--signs", "+-", "--steps", "5")
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "--steps" in err
+
+
 def test_domain_errors_exit_two(capsys):
     for argv in (
         ["classify", "--q", "1.5"],
@@ -393,8 +401,6 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "classify", "--q", "0.4", "--bogus")[0] == 2
     # auto_certificate always tries N = 1, 2, 4, ..., DEFAULT_N_MAX
     assert invoke(capsys, "certify", "--q", "0.62", "--n-max", "64")[0] == 2
-    # a trace is always the whole division it was given
-    assert invoke(capsys, "simulate", "--q", "0.5", "--signs", "+-", "--steps", "5")[0] == 2
 
 
 def test_output_to_file(tmp_path, capsys):
