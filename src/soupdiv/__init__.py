@@ -17,14 +17,12 @@ geometric residual) evenly, and numerically checks every bound involved:
 """
 
 from .approx import (
-    ApproxStep,
     Certificate,
     CertificateChecks,
     CertificateError,
     CertificateFailure,
     FairDivisionPlan,
     InequalityCheck,
-    approximate_step,
     auto_certificate,
     construct_bounded,
     covering_ratio,
@@ -74,7 +72,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxStep",
     "Certificate",
     "CertificateChecks",
     "CertificateError",
@@ -94,7 +91,6 @@ __all__ = [
     "SimulationTrace",
     "TraceRow",
     "Verdict",
-    "approximate_step",
     "as_signs",
     "auto_certificate",
     "classify",

@@ -16,7 +16,7 @@ P_n(q). Three inequality families make that true:
 
 Each is checked in double precision with the additive slack ``core.TOL``,
 the tightest exact-real inequality double precision can certify at unit
-scale; the covering step of the construction reuses the same slack.
+scale; the block rule of the construction reuses the same slack.
 
 The gap inequality reduces to the constant ratio (2-q-q^2)/(1+q^2) <= A,
 and since A climbs to P_inf(q), certificates exist for every q above
@@ -24,15 +24,17 @@ q_infinity, the unique positive root of x^4 + x^3 + 2x^2 - 1 (about
 0.5845751). Below 1/sqrt(3) no single-chain family of this shape can work
 (:func:`sqrt3_necessary`).
 
-Given a certificate, :func:`construct_bounded` assembles a division out of
-balanced blocks of degree <= 2N: each block cancels the current residual to
-within A*q^k, so the residual decays geometrically while the sign sum
-returns to zero at every block end.
+Given a certificate, :func:`construct_bounded` appends blocks by one rule.
+With residual r after k scoops and x0 = min(|r|/q^k, A), the next block is
+pn_pattern(n) for the shortest n with |x0 - P_n(q)| <= A*q^(2n) + TOL,
+plate-swapped when r > 0; the residual becomes +-q^k*(x0 - P_n(q)), within
+A*q^(k+2n), and the sign sum returns to zero at every block end. Greedy
+pairing (:mod:`soupdiv.greedy`) is the n = 1 case. These bounds hold in
+double precision only (see the README's Numerical policy).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Optional, Union
 
@@ -55,18 +57,18 @@ class CertificateError(RuntimeError):
         )
 
 
-# Memoized: construct_bounded asks for one pattern per block, nearly always a
-# short one, and a PMPattern is an immutable tuple, so callers can share them.
-@functools.lru_cache(maxsize=DEFAULT_N_MAX, typed=True)
+def _alternating_block(n: int, s: int = 1) -> tuple[int, ...]:
+    """Signs of pn_pattern(n), plate-swapped when s = -1: s, then the pair
+    (s, -s) repeated n - 1 times, then -s."""
+    return (s,) + (s, -s) * (n - 1) + (-s,)
+
+
 def pn_pattern(n: int) -> PMPattern:
     """Alternating balanced pattern of degree 2n: '+' at exponent 1, then
     sign (-1)^i at exponents 2..2n-1, then '-' at exponent 2n."""
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
-    signs = [1]
-    signs.extend(1 if i % 2 == 0 else -1 for i in range(2, 2 * n))
-    signs.append(-1)
-    return PMPattern(tuple(signs))
+    return PMPattern._trusted(_alternating_block(n))
 
 
 def pn_value(q: float, n: Union[int, float]) -> float:
@@ -159,8 +161,8 @@ def verify_certificate(q: float, N: int) -> Union[Certificate, CertificateFailur
     """
     if not (0.5 < q < 1.0):
         raise DomainError(f"q must lie strictly between 1/2 and 1, got {q!r}")
-    if N < 1:
-        raise InputError(f"N must be a positive integer, got {N!r}")
+    if not isinstance(N, int) or not 1 <= N <= DEFAULT_N_MAX:
+        raise InputError(f"N must be an integer in 1..{DEFAULT_N_MAX}, got {N!r}")
 
     values = tuple(pn_value(q, n) for n in range(1, N + 1))
     A = values[-1] / (1.0 - q ** (2 * N))
@@ -219,32 +221,6 @@ def auto_certificate(q: float) -> Union[Certificate, CertificateFailure]:
     return result
 
 
-class ApproxStep(NamedTuple):
-    n: int
-    pattern: PMPattern
-    residual: float  # x0 - P_n(q)
-
-
-def approximate_step(x0: float, cert: Certificate) -> ApproxStep:
-    """Smallest n with |x0 - P_n(q)| <= A*q^(2n), plus pattern and residual.
-
-    The certificate's covering inequalities guarantee such an n exists for
-    every x0 in [0, A]; comparisons reuse the certificate slack so the
-    guarantee survives floating point.
-    """
-    if x0 < -TOL or x0 > cert.A + TOL:
-        raise DomainError(f"x0={x0!r} outside the covered segment [0, {cert.A!r}]")
-    q = cert.q
-    for n in range(1, cert.N + 1):
-        residual = x0 - cert.pn_values[n - 1]
-        if abs(residual) <= cert.A * q ** (2 * n) + TOL:
-            return ApproxStep(n=n, pattern=pn_pattern(n), residual=residual)
-    raise RuntimeError(
-        f"certificate invariant broken: no admissible n for x0={x0!r} "
-        f"(q={q!r}, N={cert.N})"
-    )
-
-
 class FairDivisionPlan(NamedTuple):
     """A constructed division: signs, block boundaries, residuals, certificate.
 
@@ -264,26 +240,22 @@ class FairDivisionPlan(NamedTuple):
 def construct_bounded(
     q: float,
     min_scoops: int,
-    cert: Optional[Certificate] = None,
+    cert: Union[Certificate, CertificateFailure, None] = None,
 ) -> FairDivisionPlan:
-    """Build a boundedly fair division of at least ``min_scoops`` scoops.
-
-    Starting from residual r = 0 at scoop 0, each step rescales the residual
-    to x0 = |r| / q^k in [0, A], picks the shortest admissible block via
-    :func:`approximate_step`, and appends it negated when r > 0 so the block
-    cancels the residual (a zero residual takes the un-negated branch, so
-    runs open with "+-"). The new residual obeys |r'| <= A * q^(k + 2n).
+    """Build a boundedly fair division of at least ``min_scoops`` scoops by
+    the block rule (module docstring) from residual 0 at scoop 0, so runs
+    open with "+-". ``cert`` defaults to :func:`auto_certificate`; a failed
+    certification from either source raises :class:`CertificateError`.
     """
     if min_scoops < 2:
         raise InputError(f"min_scoops must be at least 2, got {min_scoops!r}")
-    if cert is None:
-        result = auto_certificate(q)
-        if isinstance(result, CertificateFailure):
-            raise CertificateError(result)
-        cert = result
-    elif cert.q != q:
+    cert = auto_certificate(q) if cert is None else cert
+    if isinstance(cert, CertificateFailure):
+        raise CertificateError(cert)
+    if cert.q != q:
         raise InputError(f"certificate was issued for q={cert.q!r}, not q={q!r}")
 
+    radii = tuple(cert.A * q ** (2 * n) + TOL for n in range(1, cert.N + 1))
     signs: list[int] = []
     block_ends = [0]
     residuals = [0.0]
@@ -295,14 +267,18 @@ def construct_bounded(
         # Clamp accumulated float drift back onto the covered segment; the
         # drift per block is below the certificate slack.
         x0 = min(x0, cert.A)
-        step = approximate_step(x0, cert)
-        if r > 0.0:
-            signs.extend(-s for s in step.pattern)
-            r = q_pow_k * step.residual
+        for n, (p_n, radius) in enumerate(zip(cert.pn_values, radii), 1):
+            if abs(x0 - p_n) <= radius:
+                break
         else:
-            signs.extend(step.pattern)
-            r = -q_pow_k * step.residual
-        k += 2 * step.n
+            raise RuntimeError(
+                f"certificate invariant broken: no admissible block for x0={x0!r} "
+                f"(q={q!r}, N={cert.N})"
+            )
+        s = -1 if r > 0.0 else 1
+        signs.extend(_alternating_block(n, s))
+        r = -s * q_pow_k * (x0 - p_n)
+        k += 2 * n
         block_ends.append(k)
         residuals.append(r)
     return FairDivisionPlan(

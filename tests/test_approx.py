@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from soupdiv import (
     Certificate,
@@ -13,7 +14,6 @@ from soupdiv import (
     DomainError,
     InputError,
     PMPattern,
-    approximate_step,
     auto_certificate,
     construct_bounded,
     covering_ratio,
@@ -26,7 +26,7 @@ from soupdiv import (
     sqrt3_necessary,
     verify_certificate,
 )
-from soupdiv.approx import DEFAULT_N_MAX
+from soupdiv.approx import DEFAULT_N_MAX, Q_INF
 from soupdiv.core import TOL
 
 # frozen from a 200-step exact-rational bisection of x^4 + x^3 + 2x^2 - 1
@@ -49,11 +49,13 @@ def test_pn_pattern_small_cases():
 
 
 def test_pn_pattern_is_memoized_and_bounded():
-    assert pn_pattern(5) is pn_pattern(5)
-    assert pn_pattern.cache_info().maxsize == DEFAULT_N_MAX
-    for _ in range(2):  # a refusal is never cached
+    # The name predates the removal of pn_pattern's cache: equal n still give
+    # equal patterns, and an n that is not a positive int is refused.
+    assert pn_pattern(5) == pn_pattern(5)
+    assert type(pn_pattern(5)) is PMPattern
+    for bad in (0, -1, 1.5, 2.0, "2"):
         with pytest.raises(InputError):
-            pn_pattern(0)
+            pn_pattern(bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 30])
@@ -154,8 +156,11 @@ def test_verify_certificate_domain():
         verify_certificate(0.5, 4)
     with pytest.raises(DomainError):
         verify_certificate(1.0, 4)
-    with pytest.raises(InputError):
-        verify_certificate(0.7, 0)
+    # N is an int in 1..DEFAULT_N_MAX, refused before any work
+    for bad in (0, -1, DEFAULT_N_MAX + 1, 10**6, 2.0, 1.5, "8", None):
+        with pytest.raises(InputError):
+            verify_certificate(0.7, bad)
+    assert isinstance(verify_certificate(0.7, DEFAULT_N_MAX), Certificate)
 
 
 def test_auto_certificate_outcomes():
@@ -170,38 +175,6 @@ def test_auto_certificate_outcomes():
     bad = auto_certificate(0.55)
     assert isinstance(bad, CertificateFailure)
     assert bad.N == 64  # the last diagnostic is reported
-
-
-def test_approximate_step_at_zero():
-    cert = verify_certificate(0.7, 8)
-    step = approximate_step(0.0, cert)
-    assert step.n == 1
-    assert step.pattern.to_text() == "+-"
-    assert step.residual == pytest.approx(-0.21, abs=1e-12)
-    assert abs(step.residual) <= cert.A * 0.49 + 1e-12
-
-
-def test_approximate_step_exact_hit():
-    cert = verify_certificate(0.7, 8)
-    step = approximate_step(cert.pn_values[1], cert)
-    assert step.n <= 2
-    if step.n == 2:
-        assert step.residual == pytest.approx(0.0, abs=1e-12)
-
-
-def test_approximate_step_at_endpoint():
-    cert = verify_certificate(0.7, 8)
-    step = approximate_step(cert.A, cert)
-    assert step.n == cert.N
-    assert step.residual == pytest.approx(cert.A * 0.7**16, rel=1e-9)
-
-
-def test_approximate_step_domain():
-    cert = verify_certificate(0.7, 8)
-    with pytest.raises(DomainError):
-        approximate_step(-0.1, cert)
-    with pytest.raises(DomainError):
-        approximate_step(cert.A + 0.1, cert)
 
 
 def test_construct_opens_with_plus_minus():
@@ -285,6 +258,60 @@ def test_construct_validation():
     with pytest.raises(CertificateError) as excinfo:
         construct_bounded(0.55, 10)
     assert excinfo.value.failure.family == "gap"
+    # a failure passed in is refused like one found by auto_certificate
+    failure = verify_certificate(0.7, 1)
+    assert isinstance(failure, CertificateFailure)
+    with pytest.raises(CertificateError) as excinfo:
+        construct_bounded(0.7, 10, cert=failure)
+    assert excinfo.value.failure is failure
+    with pytest.raises(RuntimeError, match="no admissible block"):
+        construct_bounded(0.7, 10, cert=cert._replace(pn_values=(5.0,) * cert.N))
+
+
+def _reference_plan(q, scoops, cert):
+    """Test-local copy of the earlier two-function construction: a step
+    function returning (n, pattern, residual), and a loop that negates the
+    pattern when the residual is positive."""
+
+    def step(x0):
+        for n in range(1, cert.N + 1):
+            residual = x0 - cert.pn_values[n - 1]
+            if abs(residual) <= cert.A * q ** (2 * n) + TOL:
+                signs = [1] + [1 if i % 2 == 0 else -1 for i in range(2, 2 * n)] + [-1]
+                return n, signs, residual
+        raise AssertionError("no admissible n")
+
+    signs, ends, residuals, r, k = [], [0], [0.0], 0.0, 0
+    while k < scoops:
+        q_pow_k = q**k
+        x0 = abs(r) / q_pow_k if (q_pow_k > 0.0 and r != 0.0) else 0.0
+        n, pattern, residual = step(min(x0, cert.A))
+        if r > 0.0:
+            signs.extend(-s for s in pattern)
+            r = q_pow_k * residual
+        else:
+            signs.extend(pattern)
+            r = -q_pow_k * residual
+        k += 2 * n
+        ends.append(k)
+        residuals.append(r)
+    return tuple(signs), tuple(ends), tuple(residuals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(Q_INF, 0.99, exclude_min=True),
+    N=st.sampled_from([None, 2, 4, 8, 64]),
+    scoops=st.integers(2, 3000),
+)
+def test_construct_matches_reference_construction(q, N, scoops):
+    cert = auto_certificate(q) if N is None else verify_certificate(q, N)
+    assume(isinstance(cert, Certificate))
+    plan = construct_bounded(q, scoops, cert=cert)
+    assert type(plan.seq) is PMPattern
+    assert (plan.seq.signs, plan.block_ends, plan.residuals_at_blocks) == _reference_plan(
+        q, scoops, cert
+    )
 
 
 def test_gap_ratio_identity_exact_oracle():

@@ -376,6 +376,8 @@ def test_domain_errors_exit_two(capsys):
         ["qinf", "--tol", "inf"],
         ["qinf", "--tol", "nan"],
         ["simulate", "--q", "0.5", "--signs", "abcdef"],
+        ["certify", "--q", "0.7", "--N", "65"],
+        ["construct", "--q", "0.7", "--scoops", "4", "--N", "65"],
     ):
         code, out, err = invoke(capsys, *argv)
         assert code == 2, argv

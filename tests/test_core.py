@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,6 +192,16 @@ def test_tolerances_declared_only_in_policy_block():
             if isinstance(node, ast.Constant) and node.value in policy.values():
                 literals.append((path.name, node.value))
     assert sorted(literals) == sorted(("core.py", v) for v in policy.values())
+
+
+def test_package_all_lists_every_public_name():
+    exported = soupdiv.__all__
+    assert exported == sorted(set(exported))
+    bound = {
+        name for name, value in vars(soupdiv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(exported) == bound
 
 
 def test_bisect_root_brackets():
