@@ -8,16 +8,20 @@ degree for roots inside (0, 1); the smallest degree with any hit is 6
 (e.g. "+---++" at the inverse golden ratio).
 
 Roots are isolated exactly on integer coefficients. A balanced pattern is
-x * (1-x)^m * Q(x) with Q integer and nonzero at 0 and 1; the squarefree
-part of Q is split into intervals holding one root each by Descartes' rule
-of signs with Vincent-Collins-Akritas bisection, and each interval is then
-refined by :func:`core.bisect_root`, to width ``core.TOL``, on the exact
-sign of the polynomial at a float. No root decision depends on float
-rounding. Q and its squarefree part have +-1 as constant and leading
-coefficients, so neither has a rational root in (0, 1): no root lies on a
-dyadic bisection midpoint. Rotated patterns are distinct periodic divisions
-and are searched separately; the global negation of a hit is always a hit
-with the same roots (plate swap), so each hit records its negation partner.
+x * (1-x)^m * Q(x) with Q integer and nonzero at 0 and 1. One count of
+Descartes' rule of signs on Q settles most patterns: no sign change means
+no root in (0, 1), one means a single simple root, isolated by (0, 1)
+itself. Only a Q with more changes has its squarefree part split into
+one-root intervals by Vincent-Collins-Akritas bisection. Each interval is
+then refined by :func:`core.bisect_root`, to width ``core.TOL``, on the
+exact sign of the polynomial at a float: a float Horner value where its
+rounding error bound proves the sign, the exact integer value elsewhere.
+No root decision depends on float rounding. Q and its squarefree part have
++-1 as constant and leading coefficients, so neither has a rational root
+in (0, 1): no root lies on a dyadic bisection midpoint. Rotated patterns
+are distinct periodic divisions and are searched separately; the global
+negation of a pattern has the same roots (plate swap), so each hit records
+its negation partner and the search computes the roots once per pair.
 
 :func:`min_period_search` enumerates every balanced pattern, a count that
 grows like 2^n/sqrt(n) in the degree, so it refuses degrees above
@@ -35,9 +39,10 @@ evaluate 1,274 patterns. It refuses degrees above
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, combinations
-from math import gcd
-from typing import Iterator, NamedTuple, Optional
+from math import comb, gcd
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import (
     TOL,
@@ -52,7 +57,8 @@ from .core import (
 )
 
 # Largest degree min_period_search enumerates: 66,196 balanced patterns
-# through degree 18 (about 20 s on one Xeon core), 250,952 through 20.
+# through degree 18 (1.5 s, or 3.2 s for `periodic-search` with its JSON
+# output, on one Xeon core with Python 3.11), 250,952 through 20.
 MAX_SEARCH_DEGREE = 18
 
 # Limits of first_bracketed_pattern: the largest degree it searches (its
@@ -107,8 +113,8 @@ def enumerate_balanced(n: int) -> Iterator[PMPattern]:
 
     There are C(n, n/2) of them for even n and none for odd n.
     """
-    if n < 1:
-        raise InputError(f"degree must be positive, got {n!r}")
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"degree must be a positive integer, got {n!r}")
     if n % 2 != 0:
         return
     half = n // 2
@@ -296,6 +302,34 @@ def _scaled_value(p: list[int], x: float) -> int:
     return acc
 
 
+def _exact_sign(q: list[int]) -> Callable[[float], float]:
+    """A function of x in [0, 1] that has the sign of q(x), zero included.
+
+    It returns the float Horner value of q(x) when that exceeds
+    4 (d+1) u sum|c_i| in magnitude, for degree d and unit roundoff u, and
+    the exact :func:`_scaled_value` otherwise. With every |c_i| < 2^53 the
+    coefficients are exact floats, and for 0 <= x <= 1 the Horner error is
+    at most gamma_2d sum|c_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 5.3), no more than half the bound; the other half covers
+    the rounding of the bound itself and any underflow. A value past the
+    bound therefore has the sign of q(x). Larger coefficients always take
+    the exact value.
+    """
+    if max(map(abs, q)) >= 1 << 53:
+        return lambda x: _scaled_value(q, x)
+    coeffs = [float(c) for c in reversed(q)]
+    u = sys.float_info.epsilon / 2
+    bound = 4 * len(q) * u * sum(map(abs, q))
+
+    def sign(x: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc if abs(acc) > bound else _scaled_value(q, x)
+
+    return sign
+
+
 def _isolate(q: list[int]) -> list[tuple[int, int]]:
     """Vincent-Collins-Akritas bisection of a squarefree q on (0, 1).
 
@@ -325,20 +359,28 @@ def _unit_interval_roots(q: list[int]) -> list[float]:
     """Sorted roots in (0, 1) of an integer polynomial with q(0), q(1) != 0
     and no dyadic root in (0, 1).
 
-    Each root is reported once whatever its multiplicity: isolation runs on
-    the squarefree part q / gcd(q, q'), and each root is bisected to width
-    <= ``core.TOL`` on that part's exact sign. Every pattern cofactor meets
-    the precondition: its constant and leading coefficients are +-1, so are
-    those of its squarefree part (Gauss's lemma), and by the rational root
-    theorem its only rational roots are +-1.
+    Each root is reported once whatever its multiplicity. The sign changes
+    of (1+x)^d q(1/(1+x)) bound the roots of q in (0, 1), multiplicities
+    counted, and share their parity: none means no root, and one means a
+    single simple root, isolated by (0, 1) and bisected on q itself. Only
+    with more changes does isolation run on the squarefree part
+    q / gcd(q, q'), and each root is bisected on that part. Bisection runs
+    to width <= ``core.TOL`` on the exact sign from :func:`_exact_sign`.
+    Every pattern cofactor meets the precondition: its constant and leading
+    coefficients are +-1, so are those of its squarefree part (Gauss's
+    lemma), and by the rational root theorem its only rational roots are
+    +-1.
     """
-    if len(q) < 2:
+    changes = _sign_changes(_shift_by_one(q[::-1]))
+    if changes == 0:
         return []
-    q = _exact_quotient(q, _poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
-    roots = [
-        bisect_root(lambda x: _scaled_value(q, x), c / (1 << k), (c + 1) / (1 << k), TOL)
-        for c, k in _isolate(q)
-    ]
+    if changes == 1:
+        intervals = [(0, 0)]
+    else:
+        q = _exact_quotient(q, _poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
+        intervals = _isolate(q)
+    sign = _exact_sign(q)
+    roots = [bisect_root(sign, c / (1 << k), (c + 1) / (1 << k), TOL) for c, k in intervals]
     return sorted(roots)
 
 
@@ -347,7 +389,9 @@ def pattern_roots(pattern: PMPattern) -> RootReport:
 
     Divides the pattern by x and by (1-x) as often as it vanishes at 1,
     which leaves an integer cofactor nonzero at both ends, isolates the
-    cofactor's roots in (0, 1) and bisects each to width <= ``core.TOL``.
+    cofactor's roots in (0, 1), with one Descartes count for most
+    cofactors, and bisects each to width <= ``core.TOL`` on an exact sign
+    that a float Horner value gives wherever its error bound allows.
     Every root is reported once, in increasing order: the isolating
     intervals are disjoint and lie in (0, 1), and no root is dyadic, so each
     bisected root lies strictly inside its own interval. An empty root list
@@ -366,12 +410,15 @@ def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
 
     Odd N carry an empty list (no balanced pattern exists). The enumeration
     order is deterministic, so the output is reproducible; no claim of having
-    listed every fair division is made beyond the searched degrees. Raises
-    InputError before enumerating anything when the largest even degree
-    searched exceeds :data:`MAX_SEARCH_DEGREE` (so 19 is admitted).
+    listed every fair division is made beyond the searched degrees. Roots are
+    computed once per negation pair, for the first half of each degree's
+    enumeration; the second half holds their negations, in reverse order.
+    Raises InputError before enumerating anything when max_N is not an
+    integer of at least 2, or when the largest even degree searched exceeds
+    :data:`MAX_SEARCH_DEGREE` (so 19 is admitted).
     """
-    if max_N < 2:
-        raise InputError(f"max_N must be at least 2, got {max_N!r}")
+    if not isinstance(max_N, int) or max_N < 2:
+        raise InputError(f"max_N must be an integer of at least 2, got {max_N!r}")
     if max_N // 2 * 2 > MAX_SEARCH_DEGREE:
         raise InputError(
             f"periodic search degree {max_N} exceeds the cap of "
@@ -381,14 +428,22 @@ def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
     for n in range(1, max_N + 1):
         hits: list[PeriodicHit] = []
         if n % 2 == 0:
-            for pattern in enumerate_balanced(n):
-                report = pattern_roots(pattern)
-                if report.roots:
+            # Negation reverses the lexicographic order, so the k-th pattern
+            # from the end is the negation of the k-th, with the same roots.
+            half = comb(n, n // 2) // 2
+            first: list[tuple[float, ...]] = []
+            for k, pattern in enumerate(enumerate_balanced(n)):
+                if k < half:
+                    roots = pattern_roots(pattern).roots
+                    first.append(roots)
+                else:
+                    roots = first.pop()
+                if roots:
                     partner = pattern.negated().to_text()
                     hits.append(
                         PeriodicHit(
                             pattern=pattern,
-                            roots=report.roots,
+                            roots=roots,
                             negation_partner=partner,
                             canonical=pattern.to_text() < partner,
                         )

@@ -445,6 +445,8 @@ GOLDEN_CASES = [
     (["periodic-search", "--max-degree", "8"], "periodic_search_8.json", 0),
     (["periodic-search", "--max-degree", "8", "--format", "text"], "periodic_search_8.txt", 0),
     (["periodic-search", "--max-degree", "4", "--format", "text"], "periodic_search_4.txt", 1),
+    (["periodic-search", "--max-degree", "12"], "periodic_search_12.json", 0),
+    (["periodic-search", "--max-degree", "12", "--format", "text"], "periodic_search_12.txt", 0),
     (["certify", "--q", "0.55"], "certify_q0.55.json", 1),
     (["certify", "--q", "0.55", "--format", "text"], "certify_q0.55.txt", 1),
     (

@@ -97,8 +97,9 @@ def test_enumerated_patterns_equal_validated_ones():
 
 
 def test_enumerate_validation():
-    with pytest.raises(InputError):
-        list(enumerate_balanced(0))
+    for n in (0, -2, 4.0, "4", None):
+        with pytest.raises(InputError):
+            list(enumerate_balanced(n))
 
 
 def test_no_roots_for_simple_patterns():
@@ -203,21 +204,99 @@ def test_unit_interval_roots_repeated_and_dyadic(coeffs, expected):
         assert abs(r - e) <= TOL
 
 
+def _cofactor(signs):
+    """The pattern divided by x, then by (1 - x) while it vanishes at 1."""
+    cofactor = list(signs)
+    while sum(cofactor) == 0:
+        cofactor = list(itertools.accumulate(cofactor))[:-1]
+    return cofactor
+
+
+def _squarefree_part(q):
+    derivative = [i * c for i, c in enumerate(q)][1:]
+    return periodic._exact_quotient(q, periodic._poly_gcd(q, derivative))
+
+
 def test_pattern_cofactors_have_unit_end_coefficients():
     # The precondition of _unit_interval_roots: with +-1 end coefficients the
     # squarefree part has no rational root in (0, 1), hence no dyadic one.
     for n in range(2, 13, 2):
         for pattern in enumerate_balanced(n):
-            cofactor = list(pattern.signs)  # the pattern divided by x
-            while sum(cofactor) == 0:  # divide by (1 - x)
-                cofactor = list(itertools.accumulate(cofactor))[:-1]
-            part = cofactor
-            if len(cofactor) > 1:
-                derivative = [i * c for i, c in enumerate(cofactor)][1:]
-                part = periodic._exact_quotient(
-                    cofactor, periodic._poly_gcd(cofactor, derivative)
-                )
+            cofactor = _cofactor(pattern.signs)
+            part = _squarefree_part(cofactor) if len(cofactor) > 1 else cofactor
             assert abs(part[0]) == abs(part[-1]) == 1, pattern.to_text()
+
+
+def _reference_roots(signs):
+    """Reference: the root finder without the Descartes screen or the float
+    filter. Every cofactor goes through its squarefree part and
+    Vincent-Collins-Akritas isolation, and every bisection step takes the
+    exact integer sign."""
+    q = _cofactor(signs)
+    if len(q) < 2:
+        return ()
+    q = _squarefree_part(q)
+    exact = functools.partial(periodic._scaled_value, q)
+    return tuple(
+        sorted(
+            bisect_root(exact, c / (1 << k), (c + 1) / (1 << k), TOL)
+            for c, k in periodic._isolate(q)
+        )
+    )
+
+
+def test_roots_equal_reference_on_every_pattern_to_degree_12():
+    count = 0
+    for n in range(2, 13, 2):
+        for pattern in enumerate_balanced(n):
+            assert pattern_roots(pattern).roots == _reference_roots(pattern), pattern.to_text()
+            count += 1
+    assert count == 1274
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(7, 9).flatmap(lambda half: st.permutations([1] * half + [-1] * half)),
+        st.lists(st.sampled_from([1, -1]), min_size=1, max_size=18),
+    )
+)
+def test_roots_equal_reference_on_long_and_unbalanced_patterns(signs):
+    # pattern_roots takes any +-1 sequence, balanced or not
+    assert pattern_roots(tuple(signs)).roots == _reference_roots(signs)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_filtered_sign_is_exact_next_to_every_root():
+    # 128 consecutive floats from 64 ulps below each root of every cofactor
+    # of degree <= 12: there the Horner value is smallest against its
+    # rounding error, so a filter bound too small shows here first.
+    checked = 0
+    for n in range(2, 13, 2):
+        for pattern in enumerate_balanced(n):
+            q = _cofactor(pattern.signs)
+            sign = periodic._exact_sign(q)
+            for root in pattern_roots(pattern).roots:
+                x = root
+                for _ in range(64):
+                    x = math.nextafter(x, 0.0)
+                for _ in range(128):
+                    assert _sign(sign(x)) == _sign(periodic._scaled_value(q, x)), (pattern, x)
+                    x = math.nextafter(x, 1.0)
+                    checked += 1
+    assert checked == 360 * 128
+    # 97 ulps below the root of "+--+-+-+-+" the Horner value is nonzero and
+    # has the wrong sign; only the exact value gets it right
+    q, x = _cofactor(PMPattern.from_text("+--+-+-+-+").signs), 0.7202708266172414
+    horner = functools.reduce(lambda acc, c: acc * x + c, map(float, reversed(q)), 0.0)
+    assert horner > 0 > periodic._scaled_value(q, x)
+    assert periodic._exact_sign(q)(x) < 0
+    # coefficients past 2^53 may be no float at all: always the integer value
+    wide = [-(1 << 1100) - 1, 1 << 1101]
+    assert periodic._exact_sign(wide)(0.5) == periodic._scaled_value(wide, 0.5) == -2
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,8 +377,26 @@ def test_search_negation_closure():
 
 
 def test_search_validation():
-    with pytest.raises(InputError):
-        min_period_search(1)
+    for max_N in (1, 0, 8.0, "8", None):
+        with pytest.raises(InputError):
+            min_period_search(max_N)
+
+
+def test_search_computes_roots_once_per_negation_pair(monkeypatch):
+    calls = []
+
+    def counted(pattern):
+        calls.append(pattern)
+        return pattern_roots(pattern)
+
+    monkeypatch.setattr(periodic, "pattern_roots", counted)
+    results = min_period_search(10)
+    assert len(calls) == sum(math.comb(n, n // 2) // 2 for n in range(2, 11, 2))
+    assert not {p.negated() for p in calls} & set(calls)
+    hits = [hit for degree_hits in results.values() for hit in degree_hits]
+    assert len(hits) == 90
+    for hit in hits:
+        assert hit.roots == _reference_roots(hit.pattern), hit.pattern.to_text()
 
 
 def test_search_budget_refuses_before_enumerating(monkeypatch):
