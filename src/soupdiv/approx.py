@@ -255,7 +255,13 @@ def construct_bounded(
     if cert.q != q:
         raise InputError(f"certificate was issued for q={cert.q!r}, not q={q!r}")
 
-    radii = tuple(cert.A * q ** (2 * n) + TOL for n in range(1, cert.N + 1))
+    # One row per block: P_n(q), its radius, its degree 2n, and its signs
+    # as is and plate-swapped.
+    A = cert.A
+    blocks = [
+        (p_n, A * q ** (2 * n) + TOL, 2 * n, _alternating_block(n), _alternating_block(n, -1))
+        for n, p_n in enumerate(cert.pn_values, 1)
+    ]
     signs: list[int] = []
     block_ends = [0]
     residuals = [0.0]
@@ -263,11 +269,15 @@ def construct_bounded(
     k = 0
     while k < min_scoops:
         q_pow_k = q ** k
-        x0 = abs(r) / q_pow_k if (q_pow_k > 0.0 and r != 0.0) else 0.0
-        # Clamp accumulated float drift back onto the covered segment; the
-        # drift per block is below the certificate slack.
-        x0 = min(x0, cert.A)
-        for n, (p_n, radius) in enumerate(zip(cert.pn_values, radii), 1):
+        if q_pow_k > 0.0 and r != 0.0:
+            x0 = abs(r) / q_pow_k
+            # Clamp accumulated float drift back onto the covered segment;
+            # the drift per block is below the certificate slack.
+            if x0 > A:
+                x0 = A
+        else:
+            x0 = 0.0
+        for p_n, radius, degree, block, swapped in blocks:
             if abs(x0 - p_n) <= radius:
                 break
         else:
@@ -275,10 +285,13 @@ def construct_bounded(
                 f"certificate invariant broken: no admissible block for x0={x0!r} "
                 f"(q={q!r}, N={cert.N})"
             )
-        s = -1 if r > 0.0 else 1
-        signs.extend(_alternating_block(n, s))
-        r = -s * q_pow_k * (x0 - p_n)
-        k += 2 * n
+        if r > 0.0:
+            signs += swapped
+            r = q_pow_k * (x0 - p_n)
+        else:
+            signs += block
+            r = -q_pow_k * (x0 - p_n)
+        k += degree
         block_ends.append(k)
         residuals.append(r)
     return FairDivisionPlan(

@@ -31,10 +31,18 @@ declared once, in the policy block below:
   scoops an envelope comparison allows k times this much.
 * ``ROOT_MATCH_WINDOW`` -- half-width of the window around q in which
   ``sim.classify`` looks for a sign change of a balanced pattern.
+
+The residual column of :func:`prefix_diagnostics` is computed scoop by
+scoop only until it settles: after the first scoop k whose power p = q^k
+leaves the residual r unchanged both ways, r + p == r and r - p == r.
+Each later power is the rounded product of the one before and q < 1, so
+it is no larger, and rounding is monotone, so no later sign can move r;
+the rest of the column is r repeated, the same bits the full loop stores.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Sequence, Union
 
 # Numerical policy: the only tolerances in the package (see module docstring).
@@ -167,24 +175,28 @@ def prefix_diagnostics(seq: Signs, q: float) -> tuple[list[int], list[float]]:
 
     Returns ``(sign_sums, residuals)`` where ``sign_sums[k-1]`` is the
     whole-scoop imbalance after scoop k and ``residuals[k-1]`` is
-    sum_{i<=k} signs[i] * q^i.
+    sum_{i<=k} signs[i] * q^i, with q^i built by repeated multiplication
+    and added in scoop order. The residual loop stops after the first
+    scoop whose power p leaves the residual r unchanged both ways
+    (``r + p == r`` and ``r - p == r``): later powers are no larger and
+    rounding is monotone, so no later scoop can move r, and the rest of the
+    column is r itself, bit for bit.
     """
     require_unit_open(q)
     signs = as_signs(seq)
     if not signs:
         raise InputError("cannot diagnose an empty sign sequence")
-    sign_sums: list[int] = []
     residuals: list[float] = []
-    total = 0
     residual = 0.0
     power = 1.0
     for s in signs:
         power *= q
-        total += s
         residual += s * power
-        sign_sums.append(total)
         residuals.append(residual)
-    return sign_sums, residuals
+        if residual + power == residual and residual - power == residual:
+            break
+    residuals.extend(repeat(residual, len(signs) - len(residuals)))
+    return list(accumulate(signs)), residuals
 
 
 def geometric_tail(q: float, k: int) -> float:

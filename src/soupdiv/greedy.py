@@ -50,8 +50,12 @@ def geometric_fair_division(q: float, n_scoops: int) -> PMPattern:
         raise InputError(f"n_scoops must be a positive even integer, got {n_scoops!r}")
     signs: list[int] = []
     residual = 0.0
-    for k in range(1, n_scoops // 2 + 1):
-        sign = -1 if residual > 0.0 else 1
-        signs += (sign, -sign)
-        residual += sign * (q ** (2 * k - 1) * (1.0 - q))
+    one_minus_q = 1.0 - q
+    for e in range(1, n_scoops, 2):  # e = 2k - 1 for pair k
+        if residual > 0.0:
+            signs += (-1, 1)
+            residual -= q**e * one_minus_q
+        else:
+            signs += (1, -1)
+            residual += q**e * one_minus_q
     return PMPattern._trusted(signs)

@@ -16,6 +16,14 @@ per scoop each. The other fields of the CSV schema follow from these, so a
 about 3 MiB instead of one object per scoop. The deliveries themselves (one
 dissolved unit, and (1-q) * q^(i-1)) are not stored.
 
+The plate columns are computed scoop by scoop only until they settle: the
+loop of :func:`simulate` stops at the first scoop whose delivery would
+change neither plate total. Each later delivery is no larger, since the
+powers of q only shrink and rounding is monotone, so no later scoop moves
+either total; the rest of each plate column repeats its settled total,
+the same bits the full loop stores. The sign-sum column is a running
+integer sum.
+
 Verdicts of :func:`fairness_report` are observational statements about the
 finite trace, never proofs about the limit. Likewise :func:`classify` is
 threshold-driven: below 1/2 no fair division exists, above 1/sqrt(2) the
@@ -33,7 +41,7 @@ from __future__ import annotations
 import csv
 import enum
 from array import array
-from itertools import count
+from itertools import accumulate, count
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .approx import (
@@ -115,28 +123,38 @@ def simulate(q: float, signs: Signs) -> SimulationTrace:
 
     The surface delivery of scoop i is (1-q) * q^(i-1), with q^(i-1) built by
     repeated multiplication and added to its plate in scoop order; the
-    stored columns depend on that order down to the last bit. The trace
-    keeps the checked signs themselves as its sign column.
+    stored columns depend on that order down to the last bit, up to the
+    first scoop whose delivery d leaves both totals as they are
+    (``plus2 + d == plus2`` and ``minus2 + d == minus2``). There the loop
+    stops: later deliveries are no larger and rounding is monotone, so both
+    plates keep their totals to the end, and the rest of each column
+    repeats them. Both plates are tested, since a plate at 0.0 absorbs any
+    delivery that has not underflowed. The trace keeps the checked signs
+    themselves as its sign column.
     """
     require_unit_open(q)
     sign_tuple = as_signs(signs)
     if not sign_tuple:
         raise InputError("cannot simulate an empty sign sequence")
-    imbalance1, stuff2_plus, stuff2_minus = array("q"), array("d"), array("d")
-    d = 0
+    stuff2_plus, stuff2_minus = array("d"), array("d")
     plus2 = minus2 = 0.0
+    one_minus_q = 1.0 - q
     surface_power = 1.0  # q^(i-1)
     for s in sign_tuple:
-        delivered2 = (1.0 - q) * surface_power
+        delivered2 = one_minus_q * surface_power
+        if plus2 + delivered2 == plus2 and minus2 + delivered2 == minus2:
+            break
         surface_power *= q
         if s > 0:
             plus2 += delivered2
         else:
             minus2 += delivered2
-        d += s
-        imbalance1.append(d)
         stuff2_plus.append(plus2)
         stuff2_minus.append(minus2)
+    rest = len(sign_tuple) - len(stuff2_plus)
+    stuff2_plus += array("d", (plus2,)) * rest
+    stuff2_minus += array("d", (minus2,)) * rest
+    imbalance1 = array("q", accumulate(sign_tuple))
     return SimulationTrace(q, sign_tuple, imbalance1, stuff2_plus, stuff2_minus)
 
 
@@ -195,32 +213,30 @@ def fairness_report(
     final sign-sum imbalance covering at least half the trace is the
     divergence signature (the all-'+' division reaches it immediately);
     everything else is Inconclusive.
+
+    The envelope is called only when its answer can decide the verdict:
+    never for a diverging trace, without a cap or over the cap. Then it is
+    called at k = 1, 2, ... up to the first enveloped scoop whose bound
+    fails, or to the end of the trace.
     """
     n = len(trace)
     if not n:
         raise InputError("cannot report on an empty trace")
     max_abs1 = max(max(trace.imbalance1), -min(trace.imbalance1))
     final2 = trace.stuff2_plus[-1] - trace.stuff2_minus[-1]
-    checked = 0
-    enveloped_ok = True
-    if envelope is not None:
+    if 2 * abs(trace.imbalance1[-1]) >= n:
+        verdict = Verdict.DIVERGING
+    elif envelope is None or imbalance1_cap is None or max_abs1 > imbalance1_cap:
+        verdict = Verdict.INCONCLUSIVE
+    else:
+        fits = None  # no enveloped scoop yet
         for k, plus2, minus2 in zip(count(1), trace.stuff2_plus, trace.stuff2_minus):
             bound = envelope(k)
             if bound is not None:
-                checked += 1
-                budget = k * TRACE_TOL_PER_SCOOP
-                enveloped_ok = enveloped_ok and abs(plus2 - minus2) <= bound + budget
-    if 2 * abs(trace.imbalance1[-1]) >= n:
-        verdict = Verdict.DIVERGING
-    elif (
-        checked
-        and enveloped_ok
-        and imbalance1_cap is not None
-        and max_abs1 <= imbalance1_cap
-    ):
-        verdict = Verdict.BOUNDED_FAIR_OBSERVED
-    else:
-        verdict = Verdict.INCONCLUSIVE
+                fits = abs(plus2 - minus2) <= bound + k * TRACE_TOL_PER_SCOOP
+                if not fits:
+                    break
+        verdict = Verdict.BOUNDED_FAIR_OBSERVED if fits else Verdict.INCONCLUSIVE
     return FairnessReport(
         max_abs_imbalance1=max_abs1,
         final_imbalance2=final2,
@@ -265,7 +281,7 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     raise InputError.
     """
     require_unit_open(q)
-    if search_degree < 2 or search_degree % 2 != 0:
+    if not isinstance(search_degree, int) or search_degree < 2 or search_degree % 2 != 0:
         raise InputError(f"search_degree must be a positive even integer, got {search_degree!r}")
     if q <= 0.5:
         return FeasibilityClass(

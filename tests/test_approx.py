@@ -1,5 +1,6 @@
 """Certificates, the alternating pattern family, and the block construction."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -246,6 +247,30 @@ def test_construct_returns_pattern_of_recomputed_blocks():
     assert type(plan.seq) is PMPattern
     assert plan.seq.signs == tuple(signs)
     assert plan.block_ends[-1] == k
+
+
+# SHA-256 of construct_bounded(q, 10^5): its sign string, block ends and
+# residuals (float.hex). These bits are the printed divisions; a change to
+# them is a behaviour change, not a refactor.
+CONSTRUCT_DIGESTS = {
+    0.59: "fc619be9a59b3b24f7c0f228840ec6553f210f0e4bdc52476bb8362f53b120e3",
+    0.62: "d9e92f29152a063a584e5849fe1f53b4476b96bc97f2fd4e4d46ae37ac0c2942",
+    0.70: "09eb8ee31c4e244a5398d419385035f8a11eec7789217d527466d77c81804e11",
+    0.75: "359ee4a47300aecbf4daf94b206d5abe814dbc7563b1a0ecab7941dabd2db53c",
+    0.9: "fddcd99b7fbec7c66b5e918d26b2de22012a509c67efe8360600e6a28b8b3c3c",
+    0.99: "15d886749cc2478edecdcec97f74336ce9a2cc2e20f23be26e3cf278f0dfe100",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CONSTRUCT_DIGESTS))
+def test_construct_is_bit_identical_at_1e5_scoops(q):
+    plan = construct_bounded(q, 100_000)
+    text = "|".join((
+        plan.seq.to_text(),
+        ",".join(map(str, plan.block_ends)),
+        ",".join(map(float.hex, plan.residuals_at_blocks)),
+    ))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_DIGESTS[q]
 
 
 def test_construct_validation():

@@ -3,7 +3,9 @@
 import ast
 import math
 import random
+import tracemalloc
 import types
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from soupdiv import (
     PMPattern,
     as_signs,
     eval_pm,
+    geometric_fair_division,
     geometric_tail,
     parse_signs,
     prefix_diagnostics,
@@ -89,6 +92,50 @@ def test_prefix_diagnostics_final_matches_eval():
             assert residuals[k - 1] == pytest.approx(
                 eval_pm(signs[:k], q), abs=1e-13 * n
             )
+
+
+def whole_loop_diagnostics(signs, q):
+    """prefix_diagnostics as one loop over every scoop, without the settled
+    residual's early stop: the reference for bit identity."""
+    sign_sums, residuals = [], []
+    total = 0
+    residual = 0.0
+    power = 1.0
+    for s in signs:
+        power *= q
+        total += s
+        residual += s * power
+        sign_sums.append(total)
+        residuals.append(residual)
+    return sign_sums, residuals
+
+
+def test_prefix_diagnostics_is_bit_identical_to_the_whole_loop(settle_q, sign_cases):
+    q = settle_q
+    rng = random.Random(5)
+    for kind, signs in sign_cases(q).items():
+        n = len(signs)
+        full_sums, full_residuals = whole_loop_diagnostics(signs, q)
+        full_bytes = array("d", full_residuals).tobytes()
+        for m in (1, 2, 3, rng.randint(4, 200), rng.randint(201, n), n):
+            sums, residuals = prefix_diagnostics(signs[:m], q)
+            assert sums == full_sums[:m], (kind, m)
+            assert array("d", residuals).tobytes() == full_bytes[: 8 * m], (kind, m)
+            assert residuals[-1].hex() == full_residuals[m - 1].hex(), (kind, m)
+
+
+def test_prefix_diagnostics_peak_memory():
+    # two columns of 10^5 references; the settled residual is one float
+    q = 0.75
+    signs = geometric_fair_division(q, 100_000)
+    tracemalloc.start()
+    try:
+        sums, residuals = prefix_diagnostics(signs, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sums) == len(residuals) == 100_000
+    assert peak <= 2 * 2**20, peak / 2**20
 
 
 def test_geometric_tail_values():

@@ -1,5 +1,6 @@
 """Greedy pairing of the geometric series: admission, signs and the pair-tail bound."""
 
+import hashlib
 import math
 import random
 
@@ -65,6 +66,21 @@ def test_greedy_returns_pattern_of_recomputed_pairs():
     seq = geometric_fair_division(q, scoops)
     assert type(seq) is PMPattern
     assert seq.signs == tuple(signs)
+
+
+# SHA-256 of the sign string of geometric_fair_division(q, 10^5). These
+# bits are the printed divisions; a change to them is a behaviour change.
+GREEDY_DIGESTS = {
+    0.75: "30b0af8b6770887f0c84b1b3d8992fdf4fe97f3a20e9dded94317281d7689f8d",
+    0.9: "2bde0e3f5f78c5d1033b0daeabf3a49498855df539e9d2be8ed416d097db64d8",
+    0.99: "6a607224214ca0276353fa7b4eb30accc4ee74ae9c5b8e4f338a561f66c5e3ee",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GREEDY_DIGESTS))
+def test_greedy_is_bit_identical_at_1e5_scoops(q):
+    text = geometric_fair_division(q, 100_000).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GREEDY_DIGESTS[q]
 
 
 def test_greedy_hand_executed():

@@ -6,6 +6,7 @@ import io
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from soupdiv import (
     INV_SQRT2,
     Certificate,
     DomainError,
+    FairnessReport,
     FeasibilityKind,
     InputError,
     PMPattern,
@@ -32,7 +34,7 @@ from soupdiv import (
     simulate,
     write_trace_csv,
 )
-from soupdiv.core import ROOT_MATCH_WINDOW, TOL, bisect_root, eval_pm
+from soupdiv.core import ROOT_MATCH_WINDOW, TOL, TRACE_TOL_PER_SCOOP, bisect_root, eval_pm
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -148,16 +150,51 @@ def test_simulate_conservation_property(q, signs, data):
 
 def test_simulate_peak_memory_is_columnar():
     # 10^5 scoops: three 8-byte columns plus the sign tuple, not one object
-    # per scoop (the row-per-scoop trace peaked at about 30 MiB)
+    # per scoop (the row-per-scoop trace peaked at about 30 MiB); at
+    # q = 1 - 1e-7 the plates never settle and every scoop runs the loop
     signs = tuple(geometric_fair_division(0.75, 100_000).signs)
-    tracemalloc.start()
-    try:
-        trace = simulate(0.75, signs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(trace) == 100_000
-    assert peak <= 5 * 2**20, peak / 2**20
+    for q in (0.75, 1 - 1e-7):
+        tracemalloc.start()
+        try:
+            trace = simulate(q, signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 100_000
+        assert peak <= 5 * 2**20, (q, peak / 2**20)
+
+
+def whole_loop_columns(q, signs):
+    """simulate's columns from one loop over every scoop, without the
+    settled plates' early stop: the reference for bit identity."""
+    imbalance1, stuff2_plus, stuff2_minus = array("q"), array("d"), array("d")
+    d = 0
+    plus2 = minus2 = 0.0
+    surface_power = 1.0
+    for s in signs:
+        delivered2 = (1.0 - q) * surface_power
+        surface_power *= q
+        if s > 0:
+            plus2 += delivered2
+        else:
+            minus2 += delivered2
+        d += s
+        imbalance1.append(d)
+        stuff2_plus.append(plus2)
+        stuff2_minus.append(minus2)
+    return imbalance1, stuff2_plus, stuff2_minus
+
+
+def test_simulate_is_bit_identical_to_the_whole_loop(settle_q, sign_cases):
+    q = settle_q
+    rng = random.Random(9)
+    for kind, signs in sign_cases(q).items():
+        n = len(signs)
+        full = [column.tobytes() for column in whole_loop_columns(q, signs)]
+        for m in (1, 2, 3, rng.randint(4, 200), rng.randint(201, n), n):
+            trace = simulate(q, signs[:m])
+            columns = (trace.imbalance1, trace.stuff2_plus, trace.stuff2_minus)
+            assert [c.tobytes() for c in columns] == [b[: 8 * m] for b in full], (kind, m)
 
 
 def test_trace_is_its_own_row_sequence():
@@ -252,6 +289,75 @@ def test_fairness_report_checks_every_enveloped_scoop():
     assert report.verdict is Verdict.INCONCLUSIVE
 
 
+def walk_every_scoop_report(trace, envelope=None, imbalance1_cap=None):
+    """fairness_report with one envelope walk over every scoop, whatever
+    the divergence test or the cap say: the reference for its early stops."""
+    n = len(trace)
+    max_abs1 = max(max(trace.imbalance1), -min(trace.imbalance1))
+    final2 = trace.stuff2_plus[-1] - trace.stuff2_minus[-1]
+    checked = 0
+    enveloped_ok = True
+    if envelope is not None:
+        for k in range(1, n + 1):
+            bound = envelope(k)
+            if bound is not None:
+                checked += 1
+                budget = k * TRACE_TOL_PER_SCOOP
+                imbalance2 = trace.stuff2_plus[k - 1] - trace.stuff2_minus[k - 1]
+                enveloped_ok = enveloped_ok and abs(imbalance2) <= bound + budget
+    if 2 * abs(trace.imbalance1[-1]) >= n:
+        verdict = Verdict.DIVERGING
+    elif checked and enveloped_ok and imbalance1_cap is not None and max_abs1 <= imbalance1_cap:
+        verdict = Verdict.BOUNDED_FAIR_OBSERVED
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return FairnessReport(max_abs1, final2, verdict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.95),
+    signs=st.one_of(
+        st.lists(st.sampled_from((1, -1)), min_size=1, max_size=60),
+        st.integers(1, 30).map(lambda pairs: geometric_fair_division(0.75, 2 * pairs)),
+    ),
+    data=st.data(),
+)
+def test_fairness_report_matches_a_walk_over_every_scoop(q, signs, data):
+    trace = simulate(q, signs)
+    enveloped = data.draw(st.sets(st.integers(1, len(signs))), label="enveloped")
+    # a bound at 0, half, all or twice |imbalance2| fails or holds, and may
+    # hold only through the rounding budget
+    bounds = {
+        k: abs(trace[k - 1].imbalance2) * data.draw(st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+        for k in sorted(enveloped)
+    }
+    envelope = data.draw(st.sampled_from((None, bounds.get)), label="envelope")
+    cap = data.draw(st.none() | st.integers(0, 3), label="cap")
+    assert fairness_report(trace, envelope, cap) == walk_every_scoop_report(trace, envelope, cap)
+
+
+def test_fairness_report_calls_the_envelope_only_when_it_decides():
+    q = 0.75
+    trace = simulate(q, geometric_fair_division(q, 100))
+    calls = []
+
+    def envelope(k):
+        calls.append(k)
+        return 0.0 if k == 10 else None
+
+    # the walk stops at the first failed bound
+    assert fairness_report(trace, envelope, 1).verdict is Verdict.INCONCLUSIVE
+    assert calls == list(range(1, 11))
+    # no cap, a cap exceeded, or a diverging trace: the envelope is never called
+    assert [
+        fairness_report(trace, envelope).verdict,
+        fairness_report(trace, envelope, 0).verdict,
+        fairness_report(simulate(q, (1,) * 10), envelope, 10).verdict,
+    ] == [Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE, Verdict.DIVERGING]
+    assert calls == list(range(1, 11))
+
+
 def test_classify_infeasible():
     result = classify(0.4)
     assert result.kind is FeasibilityKind.INFEASIBLE
@@ -343,8 +449,9 @@ def test_classify_threshold_monotonicity():
 
 
 def test_classify_validation():
-    with pytest.raises(InputError):
-        classify(0.6, search_degree=7)
+    for q, search_degree in ((0.6, 7), (0.56, 10.0)):
+        with pytest.raises(InputError, match="search_degree must be a positive even integer"):
+            classify(q, search_degree=search_degree)
 
 
 def test_classify_refuses_oversized_search_before_enumerating(monkeypatch):
