@@ -25,7 +25,11 @@ the same bits the full loop stores. The sign-sum column is a running
 integer sum.
 
 Verdicts of :func:`fairness_report` are observational statements about the
-finite trace, never proofs about the limit. Likewise :func:`classify` is
+finite trace, never proofs about the limit. Its walk over the enveloped
+scoops stops as well once no later scoop can fail: some enveloped scoop has
+passed, both plate columns hold their final values, and the final
+|imbalance2| lies within the rounding budget of k scoops; every later
+bound, being >= 0, then holds. Likewise :func:`classify` is
 threshold-driven: below 1/2 no fair division exists, above 1/sqrt(2) the
 greedy pairing works, above the quartic threshold (about 0.5845751) a
 covering certificate works. In the remaining window it asks one question:
@@ -41,6 +45,7 @@ from __future__ import annotations
 import csv
 import enum
 from array import array
+from bisect import bisect_left
 from itertools import accumulate, count
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -170,6 +175,9 @@ class FairnessReport(NamedTuple):
     verdict: Verdict
 
 
+# An envelope maps a scoop count k >= 1 to an |imbalance2| bound there, a
+# number >= 0, or to None where it bounds nothing; fairness_report refuses
+# any other answer, and asks for no bound past the scoop where its walk ends.
 EnvelopeFn = Callable[[int], Optional[float]]
 
 
@@ -189,13 +197,23 @@ def greedy_envelope(q: float) -> EnvelopeFn:
 
 def plan_envelope(plan: FairDivisionPlan) -> EnvelopeFn:
     """Theoretical |imbalance2| bound for a constructed plan: defined at block
-    ends k as (1-q)/q * A * q^k."""
+    ends k > 0 as (1-q)/q * A * q^k.
+
+    The bound is computed only when asked for, and a scoop count is looked
+    up in ``plan.block_ends`` by bisection, which needs those ends sorted,
+    as :func:`approx.construct_bounded` builds them."""
     q = plan.certificate.q
     scale = (1.0 - q) / q
-    bounds = {
-        k: scale * plan.certificate.A * q**k for k in plan.block_ends if k > 0
-    }
-    return bounds.get
+    A = plan.certificate.A
+    ends = plan.block_ends
+
+    def bound(k: int) -> Optional[float]:
+        i = bisect_left(ends, k)
+        if k > 0 and i < len(ends) and ends[i] == k:
+            return scale * A * q**k
+        return None
+
+    return bound
 
 
 def fairness_report(
@@ -214,25 +232,47 @@ def fairness_report(
     divergence signature (the all-'+' division reaches it immediately);
     everything else is Inconclusive.
 
-    The envelope is called only when its answer can decide the verdict:
-    never for a diverging trace, without a cap or over the cap. Then it is
-    called at k = 1, 2, ... up to the first enveloped scoop whose bound
-    fails, or to the end of the trace.
+    The envelope must answer None or a bound >= 0 at each scoop count it is
+    asked for; any other answer, NaN included, raises InputError. It is
+    called only when its answer can decide the verdict: never for a
+    diverging trace, without a cap or over the cap. Then it is called at
+    k = 1, 2, ... up to the first enveloped scoop whose bound fails, or up
+    to the exit point below, or to the end of the trace, and never after;
+    an envelope must not rely on being called there.
+
+    The exit point is the first scoop k at which some enveloped scoop has
+    passed, both plate columns hold their final values (as in every trace
+    of :func:`simulate`, whose plate columns never decrease), and
+    |final imbalance2| <= k * ``core.TRACE_TOL_PER_SCOOP``. From there on
+    |imbalance2| is |final imbalance2|, and any later bound b >= 0 at k' >= k
+    passes, since rounding is monotone: b + k' * tol >= k' * tol >= k * tol.
     """
     n = len(trace)
     if not n:
         raise InputError("cannot report on an empty trace")
     max_abs1 = max(max(trace.imbalance1), -min(trace.imbalance1))
-    final2 = trace.stuff2_plus[-1] - trace.stuff2_minus[-1]
+    plus, minus = trace.stuff2_plus, trace.stuff2_minus
+    final2 = plus[-1] - minus[-1]
     if 2 * abs(trace.imbalance1[-1]) >= n:
         verdict = Verdict.DIVERGING
     elif envelope is None or imbalance1_cap is None or max_abs1 > imbalance1_cap:
         verdict = Verdict.INCONCLUSIVE
     else:
+        # the columns never decrease, so each final value's first occurrence
+        # starts its constant tail
+        settled = 1 + max(plus.index(plus[-1]), minus.index(minus[-1]))
+        abs_final2 = abs(final2)
         fits = None  # no enveloped scoop yet
-        for k, plus2, minus2 in zip(count(1), trace.stuff2_plus, trace.stuff2_minus):
+        for k, plus2, minus2 in zip(count(1), plus, minus):
+            if fits and k >= settled and abs_final2 <= k * TRACE_TOL_PER_SCOOP:
+                break
             bound = envelope(k)
             if bound is not None:
+                if not bound >= 0.0:
+                    raise InputError(
+                        f"envelope bound at scoop {k} must be a non-negative number, "
+                        f"got {bound!r}"
+                    )
                 fits = abs(plus2 - minus2) <= bound + k * TRACE_TOL_PER_SCOOP
                 if not fits:
                     break

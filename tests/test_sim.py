@@ -314,18 +314,57 @@ def walk_every_scoop_report(trace, envelope=None, imbalance1_cap=None):
     return FairnessReport(max_abs1, final2, verdict)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    q=st.floats(min_value=0.05, max_value=0.95),
-    signs=st.one_of(
-        st.lists(st.sampled_from((1, -1)), min_size=1, max_size=60),
-        st.integers(1, 30).map(lambda pairs: geometric_fair_division(0.75, 2 * pairs)),
-    ),
-    data=st.data(),
-)
-def test_fairness_report_matches_a_walk_over_every_scoop(q, signs, data):
-    trace = simulate(q, signs)
-    enveloped = data.draw(st.sets(st.integers(1, len(signs))), label="enveloped")
+def settled_scoop(trace):
+    """The first scoop from which both plate columns keep their final values."""
+    plus, minus = trace.stuff2_plus, trace.stuff2_minus
+    k = len(trace)
+    while k > 1 and plus[k - 2] == plus[-1] and minus[k - 2] == minus[-1]:
+        k -= 1
+    return k
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_signs(q, n):
+    return construct_bounded(q, n).seq[:n]
+
+
+@st.composite
+def reported_traces(draw):
+    """A short trace at any q, or one long enough to settle: seeded random
+    signs, or a greedy or block division simulated at its own q, so that its
+    final |imbalance2| lies within the rounding budget."""
+    kind = draw(st.sampled_from(("short", "short greedy", "random", "greedy", "blocks")))
+    if kind == "short":
+        q = draw(st.floats(min_value=0.05, max_value=0.99))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=60))
+    elif kind == "short greedy":
+        q = draw(st.floats(min_value=0.05, max_value=0.99))
+        signs = geometric_fair_division(0.75, 2 * draw(st.integers(1, 30)))
+    elif kind == "random":
+        q = draw(st.floats(min_value=0.05, max_value=0.99))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        signs = tuple(rng.choices((1, -1), k=draw(st.integers(1, 4_000))))
+    elif kind == "greedy":
+        q = draw(st.floats(min_value=INV_SQRT2, max_value=0.99))
+        signs = geometric_fair_division(q, 2 * draw(st.integers(1, 2_000)))
+    else:
+        q = draw(st.sampled_from((0.59, 0.62, 0.65, 0.7)))
+        signs = _plan_signs(q, draw(st.integers(2, 4_000)))
+    return simulate(q, signs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=reported_traces(), data=st.data())
+def test_fairness_report_matches_a_walk_over_every_scoop(trace, data):
+    n = len(trace)
+    settled = settled_scoop(trace)
+    # scoops anywhere, around the settled scoop, and only after it
+    enveloped = (
+        data.draw(st.sets(st.integers(1, n), max_size=20), label="anywhere")
+        | data.draw(st.sets(st.integers(max(1, settled - 3), min(n, settled + 3))),
+                    label="around settled")
+        | data.draw(st.sets(st.integers(settled, n), max_size=5), label="after settled")
+    )
     # a bound at 0, half, all or twice |imbalance2| fails or holds, and may
     # hold only through the rounding budget
     bounds = {
@@ -333,7 +372,8 @@ def test_fairness_report_matches_a_walk_over_every_scoop(q, signs, data):
         for k in sorted(enveloped)
     }
     envelope = data.draw(st.sampled_from((None, bounds.get)), label="envelope")
-    cap = data.draw(st.none() | st.integers(0, 3), label="cap")
+    max_abs1 = max(map(abs, trace.imbalance1))
+    cap = data.draw(st.none() | st.integers(0, 3) | st.just(max_abs1), label="cap")
     assert fairness_report(trace, envelope, cap) == walk_every_scoop_report(trace, envelope, cap)
 
 
@@ -356,6 +396,97 @@ def test_fairness_report_calls_the_envelope_only_when_it_decides():
         fairness_report(simulate(q, (1,) * 10), envelope, 10).verdict,
     ] == [Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE, Verdict.DIVERGING]
     assert calls == list(range(1, 11))
+
+
+def _lead_then_follow(s):
+    # at q = 1/2 the first scoop's 1/2 on one plate is matched in the limit
+    # by scoops 2 to 60 on the other, which stays in motion until scoop 55;
+    # the last 58 scoops bring the sign sum back to 0 and change neither
+    # plate
+    return (s,) + (-s,) * 59 + (s,) * 58
+
+
+@pytest.mark.parametrize(
+    "q, signs, bounds, cap, verdict",
+    [
+        # every enveloped scoop lies after the settled one
+        (0.75, geometric_fair_division(0.75, 1_000), {1_000: 0.0}, 1,
+         Verdict.BOUNDED_FAIR_OBSERVED),
+        # one plate settles at scoop 1, the other after scoop 30, where the
+        # bound fails although the final imbalance2 is within the budget
+        (0.5, _lead_then_follow(1), {1: 1.0, 30: 0.0}, 59, Verdict.INCONCLUSIVE),
+        (0.5, _lead_then_follow(-1), {1: 1.0, 30: 0.0}, 59, Verdict.INCONCLUSIVE),
+        (0.5, _lead_then_follow(1), {1: 1.0, 30: 2.0**-29}, 59,
+         Verdict.BOUNDED_FAIR_OBSERVED),
+        # settled early, but the final imbalance2 is beyond any budget
+        (0.3, tuple(random.Random(5).choices((1, -1), k=400)), {1: 1.0, 300: 0.0}, 400,
+         Verdict.INCONCLUSIVE),
+    ],
+    ids=["after settled", "minus settles last", "plus settles last", "late pass",
+         "unfair settled"],
+)
+def test_fairness_report_exit_keeps_the_verdict(q, signs, bounds, cap, verdict):
+    trace = simulate(q, signs)
+    report = fairness_report(trace, bounds.get, cap)
+    assert report == walk_every_scoop_report(trace, bounds.get, cap)
+    assert report.verdict is verdict
+
+
+def test_fairness_report_stops_at_the_settled_scoop():
+    q = 0.75
+    trace = simulate(q, geometric_fair_division(q, 100_000))
+    settled = settled_scoop(trace)
+    bound = greedy_envelope(q)
+    calls = []
+
+    def envelope(k):
+        calls.append(k)
+        return bound(k)
+
+    report = fairness_report(trace, envelope, 1)
+    assert report == walk_every_scoop_report(trace, bound, 1)
+    assert report.verdict is Verdict.BOUNDED_FAIR_OBSERVED
+    assert settled < 200
+    assert len(calls) <= settled + 2, (len(calls), settled)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, -math.inf])
+def test_fairness_report_refuses_a_bound_below_zero(bad):
+    q = 0.75
+    trace = simulate(q, geometric_fair_division(q, 100))
+    envelope = lambda k: bad if k == 2 else None
+    with pytest.raises(InputError, match="envelope bound at scoop 2 must be a non-negative number"):
+        fairness_report(trace, envelope, 1)
+
+
+def dict_plan_bounds(plan):
+    """plan_envelope's bounds as one dict over every block end, built
+    up front: the reference for the lazy closure."""
+    q = plan.certificate.q
+    scale = (1.0 - q) / q
+    return {k: scale * plan.certificate.A * q**k for k in plan.block_ends if k > 0}.get
+
+
+@pytest.mark.parametrize("q", [0.59, 0.62, 0.70])
+def test_plan_envelope_is_bit_identical_to_a_dict_of_block_ends(q):
+    n = 10_000
+    plan = construct_bounded(q, n)
+    lazy, reference = plan_envelope(plan), dict_plan_bounds(plan)
+    hexed = lambda b: None if b is None else b.hex()
+    for k in range(max(n, plan.block_ends[-1]) + 2):
+        assert hexed(lazy(k)) == hexed(reference(k)), k
+
+
+def test_plan_envelope_builds_nothing_per_block():
+    plan = construct_bounded(0.62, 100_000)
+    tracemalloc.start()
+    try:
+        envelope = plan_envelope(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert envelope(plan.block_ends[-1]) is not None
+    assert peak <= 64 * 2**10, peak
 
 
 def test_classify_infeasible():
