@@ -8,6 +8,7 @@ geometric residual) evenly, and numerically checks every bound involved:
 * :mod:`soupdiv.core` -- sign parsing, the balanced pattern type that also
   carries constructed divisions, evaluation;
 * :mod:`soupdiv.greedy` -- paired greedy construction for q >= 1/sqrt(2);
+* :mod:`soupdiv.poly` -- exact signs and roots of integer polynomials;
 * :mod:`soupdiv.periodic` -- periodic fairness and exhaustive root search;
 * :mod:`soupdiv.approx` -- covering certificates and block constructions
   for q above the quartic threshold (about 0.5845751);

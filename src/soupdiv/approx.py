@@ -21,8 +21,10 @@ scale; the block rule of the construction reuses the same slack.
 The gap inequality reduces to the constant ratio (2-q-q^2)/(1+q^2) <= A,
 and since A climbs to P_inf(q), certificates exist for every q above
 q_infinity, the unique positive root of x^4 + x^3 + 2x^2 - 1 (about
-0.5845751). Below 1/sqrt(3) no single-chain family of this shape can work
-(:func:`sqrt3_necessary`).
+0.5845751). The threshold :data:`Q_INF` is the largest double below it,
+decided on the quartic's exact sign (:mod:`soupdiv.poly`). Below
+1/sqrt(3) no single-chain family of this shape can work
+(:func:`sqrt3_necessary`, decided exactly).
 
 Given a certificate, :func:`construct_bounded` appends blocks by one rule.
 With residual r after k scoops and x0 = min(|r|/q^k, A), the next block is
@@ -39,9 +41,12 @@ import math
 from typing import NamedTuple, Optional, Union
 
 from .core import TOL, DomainError, InputError, PMPattern, bisect_root, require_unit_open
+from .poly import exact_sign
 
 DEFAULT_N_MAX = 64
 
+# Exact sign of the quartic x^4 + x^3 + 2x^2 - 1, and a bracket of its root.
+_QINF_SIGN = exact_sign([-1, 0, 2, 1, 1])
 _QINF_BRACKET = (0.5, 0.6)
 
 
@@ -83,23 +88,27 @@ def pn_value(q: float, n: Union[int, float]) -> float:
 
 
 def qinf_poly(x: float) -> float:
-    """The quartic x^4 + x^3 + 2x^2 - 1 whose positive root separates the
-    certifiable regime from the open one."""
+    """The threshold quartic x^4 + x^3 + 2x^2 - 1 in floats, for printed
+    residuals only; its root is decided on the quartic's exact sign."""
     return ((x + 1.0) * x + 2.0) * x * x - 1.0
 
 
 def q_infinity(tol: float = TOL) -> float:
-    """Root of :func:`qinf_poly` in (0.5, 0.6) by bisection to width <= tol."""
+    """Root of the quartic in (0.5, 0.6) by bisection on its exact sign to width <= tol."""
     if not 0.0 < tol < math.inf:
         raise InputError(f"tol must be finite and positive, got {tol!r}")
     lo, hi = _QINF_BRACKET
-    if not (qinf_poly(lo) < 0.0 < qinf_poly(hi)):
+    if not (_QINF_SIGN(lo) < 0 < _QINF_SIGN(hi)):
         raise RuntimeError("sign bracket for the threshold quartic is broken")
-    return bisect_root(qinf_poly, lo, hi, tol)
+    return bisect_root(_QINF_SIGN, lo, hi, tol)
 
 
-# The threshold itself, computed once at import.
-Q_INF = q_infinity(TOL)
+# The threshold itself, computed once at import: the largest double below
+# the root. Bisection to float resolution ends on one of the two doubles
+# around it (the root is irrational), so at most one step down is needed.
+Q_INF = q_infinity(math.ulp(0.0))
+if _QINF_SIGN(Q_INF) > 0:
+    Q_INF = math.nextafter(Q_INF, 0.0)
 
 
 def covering_ratio(q: float) -> float:
@@ -247,7 +256,7 @@ def construct_bounded(
     open with "+-". ``cert`` defaults to :func:`auto_certificate`; a failed
     certification from either source raises :class:`CertificateError`.
     """
-    if min_scoops < 2:
+    if not isinstance(min_scoops, int) or min_scoops < 2:
         raise InputError(f"min_scoops must be at least 2, got {min_scoops!r}")
     cert = auto_certificate(q) if cert is None else cert
     if isinstance(cert, CertificateFailure):
@@ -307,8 +316,9 @@ def sqrt3_necessary(q: float) -> bool:
 
     For q at or below the threshold the covering balls of any single-chain
     family (degrees 2, 4, ..., 2n) are too short to cover [0, A], so no
-    certificate of this shape can exist. The comparison is strict, keeping
-    the nearest float to 1/sqrt(3) itself on the False side.
+    certificate of this shape can exist. It is decided exactly, as 3a^2 > d^2
+    for q = a/d: the nearest float to 1/sqrt(3) lies below it and is False.
     """
     require_unit_open(q)
-    return q > 1.0 / math.sqrt(3.0)
+    a, d = q.as_integer_ratio()
+    return 3 * a * a > d * d

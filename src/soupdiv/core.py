@@ -19,14 +19,14 @@ Patterns are written as strings of '+' and '-' with the leftmost character
 at exponent 1, e.g. "+---++". The Unicode minus sign is accepted on input;
 output always uses the ASCII hyphen.
 
-All arithmetic is double precision, and every tolerance the package uses is
+Arithmetic is double precision, except for the exact integer polynomial
+signs of :mod:`soupdiv.poly`, and every tolerance the package uses is
 declared once, in the policy block below:
 
 * ``TOL`` -- additive slack at unit scale. A value counts as zero, and an
   inequality between quantities of order one counts as holding, within it.
   It is the periodic fairness zero, the certificate slack, the greedy
-  admission band below 1/sqrt(2), and the default bisection width of roots
-  and of the quartic threshold.
+  admission band below 1/sqrt(2), and the default bisection width of roots.
 * ``TRACE_TOL_PER_SCOOP`` -- rounding budget of a simulated trace: after k
   scoops an envelope comparison allows k times this much.
 * ``ROOT_MATCH_WINDOW`` -- half-width of the window around q in which

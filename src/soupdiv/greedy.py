@@ -46,7 +46,7 @@ def geometric_fair_division(q: float, n_scoops: int) -> PMPattern:
             "for smaller q use a covering certificate construction "
             "(soupdiv.approx.construct_bounded)"
         )
-    if n_scoops < 2 or n_scoops % 2 != 0:
+    if not isinstance(n_scoops, int) or n_scoops < 2 or n_scoops % 2 != 0:
         raise InputError(f"n_scoops must be a positive even integer, got {n_scoops!r}")
     signs: list[int] = []
     residual = 0.0

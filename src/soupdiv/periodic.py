@@ -8,17 +8,11 @@ degree for roots inside (0, 1); the smallest degree with any hit is 6
 (e.g. "+---++" at the inverse golden ratio).
 
 Roots are isolated exactly on integer coefficients. A balanced pattern is
-x * (1-x)^m * Q(x) with Q integer and nonzero at 0 and 1. One count of
-Descartes' rule of signs on Q settles most patterns: no sign change means
-no root in (0, 1), one means a single simple root, isolated by (0, 1)
-itself. Only a Q with more changes has its squarefree part split into
-one-root intervals by Vincent-Collins-Akritas bisection. Each interval is
-then refined by :func:`core.bisect_root`, to width ``core.TOL``, on the
-exact sign of the polynomial at a float: a float Horner value where its
-rounding error bound proves the sign, the exact integer value elsewhere.
-No root decision depends on float rounding. Q and its squarefree part have
-+-1 as constant and leading coefficients, so neither has a rational root
-in (0, 1): no root lies on a dyadic bisection midpoint. Rotated patterns
+x * (1-x)^m * Q(x) with Q integer and nonzero at 0 and 1, and
+:func:`poly.unit_interval_roots` finds the roots of Q in (0, 1) with no
+decision left to float rounding. Q and its squarefree part have +-1 as
+constant and leading coefficients, so neither has a rational root in
+(0, 1): no root lies on a dyadic bisection midpoint. Rotated patterns
 are distinct periodic divisions and are searched separately; the global
 negation of a pattern has the same roots (plate swap), so each hit records
 its negation partner and the search computes the roots once per pair.
@@ -39,10 +33,9 @@ evaluate 1,274 patterns. It refuses degrees above
 
 from __future__ import annotations
 
-import sys
 from itertools import accumulate, combinations
-from math import comb, gcd
-from typing import Callable, Iterator, NamedTuple, Optional
+from math import comb
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     TOL,
@@ -51,10 +44,10 @@ from .core import (
     PMPattern,
     Signs,
     as_signs,
-    bisect_root,
     eval_pm,
     require_unit_open,
 )
+from .poly import unit_interval_roots
 
 # Largest degree min_period_search enumerates: 66,196 balanced patterns
 # through degree 18 (1.5 s, or 3.2 s for `periodic-search` with its JSON
@@ -232,158 +225,6 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
     return None
 
 
-# Integer polynomials are lists of coefficients in ascending order of power.
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """p divided by its content, with a positive leading coefficient."""
-    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
-    return [c // g for c in p]
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of lc(b)^(deg a - deg b + 1) * a by b, without trailing zeros."""
-    r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    for i in range(len(a) - 1 - db, -1, -1):
-        top = r.pop()  # the coefficient of x^(i + db), cancelled below
-        r = [lead * c for c in r]
-        for j in range(db):
-            r[i + j] -= top * b[j]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of a and b (deg a >= deg b >= 0) by primitive remainders."""
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b that divides a over the integers."""
-    r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    out = [0] * (len(a) - db)
-    for i in range(len(out) - 1, -1, -1):
-        out[i] = top = r[i + db] // lead
-        for j, c in enumerate(b):
-            r[i + j] -= top * c
-    return out
-
-
-def _shift_by_one(p: list[int]) -> list[int]:
-    """Coefficients of p(x + 1)."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += p[j + 1]
-    return p
-
-
-def _sign_changes(p: list[int]) -> int:
-    signs = [c > 0 for c in p if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _scaled_value(p: list[int], x: float) -> int:
-    """den^deg(p) * p(x) for x = num/den exactly: a positive multiple of p(x)."""
-    num, den = x.as_integer_ratio()
-    acc, scale = 0, 1
-    for c in reversed(p):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
-
-
-def _exact_sign(q: list[int]) -> Callable[[float], float]:
-    """A function of x in [0, 1] that has the sign of q(x), zero included.
-
-    It returns the float Horner value of q(x) when that exceeds
-    4 (d+1) u sum|c_i| in magnitude, for degree d and unit roundoff u, and
-    the exact :func:`_scaled_value` otherwise. With every |c_i| < 2^53 the
-    coefficients are exact floats, and for 0 <= x <= 1 the Horner error is
-    at most gamma_2d sum|c_i| (Higham, Accuracy and Stability of Numerical
-    Algorithms, eq. 5.3), no more than half the bound; the other half covers
-    the rounding of the bound itself and any underflow. A value past the
-    bound therefore has the sign of q(x). Larger coefficients always take
-    the exact value.
-    """
-    if max(map(abs, q)) >= 1 << 53:
-        return lambda x: _scaled_value(q, x)
-    coeffs = [float(c) for c in reversed(q)]
-    u = sys.float_info.epsilon / 2
-    bound = 4 * len(q) * u * sum(map(abs, q))
-
-    def sign(x: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc if abs(acc) > bound else _scaled_value(q, x)
-
-    return sign
-
-
-def _isolate(q: list[int]) -> list[tuple[int, int]]:
-    """Vincent-Collins-Akritas bisection of a squarefree q on (0, 1).
-
-    A node (c, k, p) stands for the interval (c/2^k, (c+1)/2^k), with p(x)
-    a positive multiple of q((c + x)/2^k). By Descartes' rule the sign
-    changes of (1+x)^d p(1/(1+x)) bound the node's roots and have their
-    parity: none means no root, one means exactly one. Returns the
-    isolating intervals as (c, k). q must have no dyadic root in (0, 1):
-    a root on a bisection midpoint would belong to neither half.
-    """
-    d = len(q) - 1
-    intervals: list[tuple[int, int]] = []
-    stack = [(0, 0, q)]
-    while stack:
-        c, k, p = stack.pop()
-        changes = _sign_changes(_shift_by_one(p[::-1]))
-        if changes == 1:
-            intervals.append((c, k))
-        elif changes > 1:
-            left = [a << (d - i) for i, a in enumerate(p)]  # 2^d p(x/2)
-            stack.append((2 * c + 1, k + 1, _shift_by_one(left)))  # 2^d p((1+x)/2)
-            stack.append((2 * c, k + 1, left))
-    return intervals
-
-
-def _unit_interval_roots(q: list[int]) -> list[float]:
-    """Sorted roots in (0, 1) of an integer polynomial with q(0), q(1) != 0
-    and no dyadic root in (0, 1).
-
-    Each root is reported once whatever its multiplicity. The sign changes
-    of (1+x)^d q(1/(1+x)) bound the roots of q in (0, 1), multiplicities
-    counted, and share their parity: none means no root, and one means a
-    single simple root, isolated by (0, 1) and bisected on q itself. Only
-    with more changes does isolation run on the squarefree part
-    q / gcd(q, q'), and each root is bisected on that part. Bisection runs
-    to width <= ``core.TOL`` on the exact sign from :func:`_exact_sign`.
-    Every pattern cofactor meets the precondition: its constant and leading
-    coefficients are +-1, so are those of its squarefree part (Gauss's
-    lemma), and by the rational root theorem its only rational roots are
-    +-1.
-    """
-    changes = _sign_changes(_shift_by_one(q[::-1]))
-    if changes == 0:
-        return []
-    if changes == 1:
-        intervals = [(0, 0)]
-    else:
-        q = _exact_quotient(q, _poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
-        intervals = _isolate(q)
-    sign = _exact_sign(q)
-    roots = [bisect_root(sign, c / (1 << k), (c + 1) / (1 << k), TOL) for c, k in intervals]
-    return sorted(roots)
-
-
 def pattern_roots(pattern: PMPattern) -> RootReport:
     """Locate roots of ``pattern`` in (0, 1) by exact isolation plus bisection.
 
@@ -402,7 +243,7 @@ def pattern_roots(pattern: PMPattern) -> RootReport:
         raise InputError("cannot find roots of an empty sign sequence")
     while sum(cofactor) == 0:  # divide by (1 - x): prefix sums
         cofactor = list(accumulate(cofactor))[:-1]
-    return RootReport(pattern=pattern, roots=tuple(_unit_interval_roots(cofactor)))
+    return RootReport(pattern=pattern, roots=tuple(unit_interval_roots(cofactor)))
 
 
 def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:

@@ -1,0 +1,165 @@
+"""Exact integer polynomials: lists of ``int`` coefficients in ascending
+order of power, so [-1, 0, 1] is x^2 - 1, with exact signs and roots.
+
+:func:`exact_sign` trusts a float Horner value only where its error bound
+proves the sign. :func:`unit_interval_roots` screens with one Descartes
+count and splits harder cases by Vincent-Collins-Akritas bisection
+(Collins and Akritas, 1976). No decision depends on float rounding.
+"""
+
+from __future__ import annotations
+
+import sys
+from math import gcd
+from typing import Callable
+
+from .core import TOL, bisect_root
+
+
+def primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // g for c in p]
+
+
+def pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of lc(b)^(deg a - deg b + 1) * a by b, without trailing zeros."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    for i in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()  # the coefficient of x^(i + db), cancelled below
+        r = [lead * c for c in r]
+        for j in range(db):
+            r[i + j] -= top * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of a and b (deg a >= deg b >= 0) by primitive remainders."""
+    a, b = primitive(a), primitive(b)
+    while len(b) > 1:
+        r = pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, primitive(r)
+    return [1]
+
+
+def exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over the integers."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    out = [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = top = r[i + db] // lead
+        for j, c in enumerate(b):
+            r[i + j] -= top * c
+    return out
+
+
+def shift_by_one(p: list[int]) -> list[int]:
+    """Coefficients of p(x + 1)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def sign_changes(p: list[int]) -> int:
+    signs = [c > 0 for c in p if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def scaled_value(p: list[int], x: float) -> int:
+    """den^deg(p) * p(x) for x = num/den exactly: a positive multiple of p(x)."""
+    num, den = x.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def exact_sign(q: list[int]) -> Callable[[float], float]:
+    """A function of x in [0, 1] that has the sign of q(x), zero included.
+
+    It returns the float Horner value of q(x) when that exceeds
+    4 (d+1) u sum|c_i| in magnitude, for degree d and unit roundoff u, and
+    the exact :func:`scaled_value` otherwise. With every |c_i| < 2^53 the
+    coefficients are exact floats, and for 0 <= x <= 1 the Horner error is
+    at most gamma_2d sum|c_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 5.3), no more than half the bound; the other half covers
+    the rounding of the bound itself and any underflow. A value past the
+    bound therefore has the sign of q(x). Larger coefficients always take
+    the exact value.
+    """
+    if max(map(abs, q)) >= 1 << 53:
+        return lambda x: scaled_value(q, x)
+    coeffs = [float(c) for c in reversed(q)]
+    u = sys.float_info.epsilon / 2
+    bound = 4 * len(q) * u * sum(map(abs, q))
+
+    def sign(x: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc if abs(acc) > bound else scaled_value(q, x)
+
+    return sign
+
+
+def isolate(q: list[int]) -> list[tuple[int, int]]:
+    """Vincent-Collins-Akritas bisection of a squarefree q on (0, 1).
+
+    A node (c, k, p) stands for the interval (c/2^k, (c+1)/2^k), with p(x)
+    a positive multiple of q((c + x)/2^k). By Descartes' rule the sign
+    changes of (1+x)^d p(1/(1+x)) bound the node's roots and have their
+    parity: none means no root, one means exactly one. Returns the
+    isolating intervals as (c, k). q must have no dyadic root in (0, 1):
+    a root on a bisection midpoint would belong to neither half.
+    """
+    d = len(q) - 1
+    intervals: list[tuple[int, int]] = []
+    stack = [(0, 0, q)]
+    while stack:
+        c, k, p = stack.pop()
+        changes = sign_changes(shift_by_one(p[::-1]))
+        if changes == 1:
+            intervals.append((c, k))
+        elif changes > 1:
+            left = [a << (d - i) for i, a in enumerate(p)]  # 2^d p(x/2)
+            stack.append((2 * c + 1, k + 1, shift_by_one(left)))  # 2^d p((1+x)/2)
+            stack.append((2 * c, k + 1, left))
+    return intervals
+
+
+def unit_interval_roots(q: list[int]) -> list[float]:
+    """Sorted roots in (0, 1) of an integer polynomial with q(0), q(1) != 0
+    and no dyadic root in (0, 1).
+
+    Each root is reported once whatever its multiplicity. The sign changes
+    of (1+x)^d q(1/(1+x)) bound the roots of q in (0, 1), multiplicities
+    counted, and share their parity: none means no root, and one means a
+    single simple root, isolated by (0, 1) and bisected on q itself. Only
+    with more changes does isolation run on the squarefree part
+    q / gcd(q, q'), and each root is bisected on that part. Bisection runs
+    to width <= ``core.TOL`` on the exact sign from :func:`exact_sign`.
+    Every pattern cofactor meets the precondition: its constant and leading
+    coefficients are +-1, so are those of its squarefree part (Gauss's
+    lemma), and by the rational root theorem its only rational roots are
+    +-1.
+    """
+    changes = sign_changes(shift_by_one(q[::-1]))
+    if changes == 0:
+        return []
+    if changes == 1:
+        intervals = [(0, 0)]
+    else:
+        q = exact_quotient(q, poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
+        intervals = isolate(q)
+    sign = exact_sign(q)
+    roots = [bisect_root(sign, c / (1 << k), (c + 1) / (1 << k), TOL) for c, k in intervals]
+    return sorted(roots)

@@ -28,7 +28,7 @@ from soupdiv import (
     verify_certificate,
 )
 from soupdiv.approx import DEFAULT_N_MAX, Q_INF
-from soupdiv.core import TOL
+from soupdiv.core import TOL, bisect_root
 
 # frozen from a 200-step exact-rational bisection of x^4 + x^3 + 2x^2 - 1
 Q_INF_REFERENCE = 0.5845751333644155
@@ -100,6 +100,31 @@ def test_q_infinity_digits():
 
 def test_q_infinity_bracket_signs():
     assert qinf_poly(0.58) < 0.0 < qinf_poly(0.59)
+
+
+def _exact_quartic(x: float) -> Fraction:
+    x = Fraction(x)
+    return x**4 + x**3 + 2 * x**2 - 1
+
+
+def test_q_inf_is_the_largest_float_below_the_root():
+    assert Q_INF == Q_INF_REFERENCE == 0.5845751333644155
+    assert _exact_quartic(Q_INF) < 0 < _exact_quartic(math.nextafter(Q_INF, 1.0))
+
+
+def _float_q_infinity(tol: float) -> float:
+    """q_infinity as it was before the exact sign: bisection on the float quartic."""
+    return bisect_root(qinf_poly, 0.5, 0.6, tol)
+
+
+def test_q_infinity_matches_the_float_bisection():
+    # the exact sign changes no printed root: every bracket the float
+    # bisection visits keeps the float quartic's sign, down to 1e-300
+    rng = random.Random(26)
+    tols = [10.0**-k for k in range(1, 17)]
+    tols += [10.0 ** rng.uniform(-300.0, -1.0) for _ in range(200)]
+    for tol in tols:
+        assert q_infinity(tol) == _float_q_infinity(tol), tol
 
 
 def test_q_infinity_validation():
@@ -276,6 +301,8 @@ def test_construct_is_bit_identical_at_1e5_scoops(q):
 def test_construct_validation():
     with pytest.raises(InputError):
         construct_bounded(0.7, 1)
+    with pytest.raises(InputError, match="min_scoops must be at least 2"):
+        construct_bounded(0.62, 10.0)
     cert = verify_certificate(0.7, 8)
     assert isinstance(cert, Certificate)
     with pytest.raises(InputError):
@@ -377,6 +404,9 @@ def test_threshold_consistency_small_grid():
 def test_sqrt3_boundary():
     assert not sqrt3_necessary(0.577)
     assert sqrt3_necessary(0.58)
-    assert not sqrt3_necessary(1.0 / math.sqrt(3.0))
+    # 1/sqrt(3) = 0.57735026918962576451...: decided exactly, not in floats
+    assert 1.0 / math.sqrt(3.0) == 0.5773502691896258
+    assert sqrt3_necessary(0.5773502691896258)
+    assert not sqrt3_necessary(0.5773502691896257)
     with pytest.raises(DomainError):
         sqrt3_necessary(0.0)

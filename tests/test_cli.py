@@ -340,7 +340,7 @@ def test_import_leaves_out_dataclasses_and_inspect():
     # every soupdiv process pays for what the package imports
     probe = (
         "import sys, soupdiv, soupdiv.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     src = str(Path(soupdiv.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

@@ -176,3 +176,5 @@ def test_geometric_division_scoop_validation():
         geometric_fair_division(0.75, 7)
     with pytest.raises(InputError):
         geometric_fair_division(0.75, 0)
+    with pytest.raises(InputError, match="n_scoops must be a positive even integer"):
+        geometric_fair_division(0.75, 10.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import soupdiv.periodic as periodic
+import soupdiv.poly as poly
 from soupdiv import (
     DomainError,
     InputError,
@@ -198,7 +199,7 @@ def test_roots_are_exact_sign_brackets(signs):
     ],
 )
 def test_unit_interval_roots_repeated_and_dyadic(coeffs, expected):
-    roots = periodic._unit_interval_roots(coeffs)
+    roots = poly.unit_interval_roots(coeffs)
     assert len(roots) == len(expected)
     for r, e in zip(roots, expected):
         assert abs(r - e) <= TOL
@@ -214,11 +215,11 @@ def _cofactor(signs):
 
 def _squarefree_part(q):
     derivative = [i * c for i, c in enumerate(q)][1:]
-    return periodic._exact_quotient(q, periodic._poly_gcd(q, derivative))
+    return poly.exact_quotient(q, poly.poly_gcd(q, derivative))
 
 
 def test_pattern_cofactors_have_unit_end_coefficients():
-    # The precondition of _unit_interval_roots: with +-1 end coefficients the
+    # The precondition of poly.unit_interval_roots: with +-1 end coefficients the
     # squarefree part has no rational root in (0, 1), hence no dyadic one.
     for n in range(2, 13, 2):
         for pattern in enumerate_balanced(n):
@@ -236,11 +237,11 @@ def _reference_roots(signs):
     if len(q) < 2:
         return ()
     q = _squarefree_part(q)
-    exact = functools.partial(periodic._scaled_value, q)
+    exact = functools.partial(poly.scaled_value, q)
     return tuple(
         sorted(
             bisect_root(exact, c / (1 << k), (c + 1) / (1 << k), TOL)
-            for c, k in periodic._isolate(q)
+            for c, k in poly.isolate(q)
         )
     )
 
@@ -278,13 +279,13 @@ def test_filtered_sign_is_exact_next_to_every_root():
     for n in range(2, 13, 2):
         for pattern in enumerate_balanced(n):
             q = _cofactor(pattern.signs)
-            sign = periodic._exact_sign(q)
+            sign = poly.exact_sign(q)
             for root in pattern_roots(pattern).roots:
                 x = root
                 for _ in range(64):
                     x = math.nextafter(x, 0.0)
                 for _ in range(128):
-                    assert _sign(sign(x)) == _sign(periodic._scaled_value(q, x)), (pattern, x)
+                    assert _sign(sign(x)) == _sign(poly.scaled_value(q, x)), (pattern, x)
                     x = math.nextafter(x, 1.0)
                     checked += 1
     assert checked == 360 * 128
@@ -292,11 +293,11 @@ def test_filtered_sign_is_exact_next_to_every_root():
     # has the wrong sign; only the exact value gets it right
     q, x = _cofactor(PMPattern.from_text("+--+-+-+-+").signs), 0.7202708266172414
     horner = functools.reduce(lambda acc, c: acc * x + c, map(float, reversed(q)), 0.0)
-    assert horner > 0 > periodic._scaled_value(q, x)
-    assert periodic._exact_sign(q)(x) < 0
+    assert horner > 0 > poly.scaled_value(q, x)
+    assert poly.exact_sign(q)(x) < 0
     # coefficients past 2^53 may be no float at all: always the integer value
     wide = [-(1 << 1100) - 1, 1 << 1101]
-    assert periodic._exact_sign(wide)(0.5) == periodic._scaled_value(wide, 0.5) == -2
+    assert poly.exact_sign(wide)(0.5) == poly.scaled_value(wide, 0.5) == -2
 
 
 @functools.lru_cache(maxsize=None)

@@ -34,6 +34,7 @@ from soupdiv import (
     simulate,
     write_trace_csv,
 )
+from soupdiv.approx import Q_INF
 from soupdiv.core import ROOT_MATCH_WINDOW, TOL, TRACE_TOL_PER_SCOOP, bisect_root, eval_pm
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -518,6 +519,15 @@ def test_classify_certificate_regime():
     result = classify(0.6)
     assert result.kind is FeasibilityKind.BOUNDED_FAIR_CERTIFICATE
     assert isinstance(result.certificate, Certificate)
+
+
+def test_classify_certificate_regime_starts_above_q_inf():
+    # the 663 floats from 0.584575133364342 through Q_INF lie below the
+    # root of the quartic, where no certificate holds
+    for q in (0.584575133364342, Q_INF):
+        assert classify(q).kind is FeasibilityKind.UNKNOWN
+    above = classify(math.nextafter(Q_INF, 1.0))
+    assert above.kind is FeasibilityKind.BOUNDED_FAIR_CERTIFICATE
 
 
 def test_classify_unknown():
