@@ -255,9 +255,25 @@ def construct_bounded(
     the block rule (module docstring) from residual 0 at scoop 0, so runs
     open with "+-". ``cert`` defaults to :func:`auto_certificate`; a failed
     certification from either source raises :class:`CertificateError`.
+
+    The blocks are chosen one by one only until the float state settles.
+    Once q^k underflows to 0.0, every later power does too (the exact powers
+    shrink by at least the factor q^2 per block and ``pow`` rounds them to
+    the nearest double in practice), so every later x0 is 0.0 and the same
+    first admissible block is chosen each time. Such a block leaves the
+    residual at a signed zero: -0.0 when plate-swapped (from r > 0), +0.0
+    otherwise. A zero is not > 0, so after the first unswapped block at
+    q^k == 0.0 every later block is that block unswapped, leaving the same
+    zero; the signs, the block ends (an arithmetic progression ending at or
+    past ``min_scoops``) and the residuals are extended to the end without
+    looping. That is the first underflowed block, or the second when the
+    first starts from r > 0. q^k first underflows at scoop 1,413 for
+    q = 0.59 and 2,150 just below 1/sqrt(2), far past the first exact break
+    of the residual bound (block end 76 at q = 0.59, README's Numerical
+    policy), so the repeated tail is a float artefact, not a proof.
     """
     if not isinstance(min_scoops, int) or min_scoops < 2:
-        raise InputError(f"min_scoops must be at least 2, got {min_scoops!r}")
+        raise InputError(f"min_scoops must be an integer of at least 2, got {min_scoops!r}")
     cert = auto_certificate(q) if cert is None else cert
     if isinstance(cert, CertificateFailure):
         raise CertificateError(cert)
@@ -298,8 +314,16 @@ def construct_bounded(
             signs += swapped
             r = q_pow_k * (x0 - p_n)
         else:
-            signs += block
             r = -q_pow_k * (x0 - p_n)
+            if q_pow_k == 0.0:
+                # Settled (see above): this block and every later one are the
+                # same, ceil((min_scoops - k) / degree) of them in all.
+                repeats = -((k - min_scoops) // degree)
+                signs += block * repeats
+                block_ends.extend(range(k + degree, k + repeats * degree + 1, degree))
+                residuals += [r] * repeats
+                break
+            signs += block
         k += degree
         block_ends.append(k)
         residuals.append(r)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from soupdiv import (
+    INV_SQRT2,
     Certificate,
     CertificateError,
     CertificateFailure,
@@ -301,7 +302,7 @@ def test_construct_is_bit_identical_at_1e5_scoops(q):
 def test_construct_validation():
     with pytest.raises(InputError):
         construct_bounded(0.7, 1)
-    with pytest.raises(InputError, match="min_scoops must be at least 2"):
+    with pytest.raises(InputError, match="min_scoops must be an integer of at least 2"):
         construct_bounded(0.62, 10.0)
     cert = verify_certificate(0.7, 8)
     assert isinstance(cert, Certificate)
@@ -347,7 +348,13 @@ def _reference_plan(q, scoops, cert):
         k += 2 * n
         ends.append(k)
         residuals.append(r)
-    return tuple(signs), tuple(ends), tuple(residuals)
+    return tuple(signs), tuple(ends), tuple(map(float.hex, residuals))
+
+
+def _plan_bits(plan):
+    """Signs, block ends and residuals of a plan, the residuals as
+    ``float.hex`` so that the sign of a zero is compared too."""
+    return plan.seq.signs, plan.block_ends, tuple(map(float.hex, plan.residuals_at_blocks))
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,9 +368,34 @@ def test_construct_matches_reference_construction(q, N, scoops):
     assume(isinstance(cert, Certificate))
     plan = construct_bounded(q, scoops, cert=cert)
     assert type(plan.seq) is PMPattern
-    assert (plan.seq.signs, plan.block_ends, plan.residuals_at_blocks) == _reference_plan(
-        q, scoops, cert
-    )
+    assert _plan_bits(plan) == _reference_plan(q, scoops, cert)
+
+
+# q, certificate size (None: auto_certificate), and the residual, as
+# float.hex, at the start of the first block where q^k has underflowed to
+# 0.0. At 0.8141 with N = 8 that residual is positive, so the first
+# underflowed block is plate-swapped and leaves -0.0, and only the second
+# one repeats; from a zero the first one already repeats.
+UNDERFLOW_CASES = [
+    (0.59, None, "0x0.0p+0"),
+    (math.nextafter(Q_INF, 1.0), None, "-0x0.0p+0"),
+    (math.nextafter(INV_SQRT2, 0.0), None, "0x0.0p+0"),
+    (0.8141, 8, "0x0.0000000000001p-1022"),
+]
+
+
+@pytest.mark.parametrize("q, N, first_residual", UNDERFLOW_CASES)
+def test_construct_settles_after_underflow(q, N, first_residual):
+    cert = auto_certificate(q) if N is None else verify_certificate(q, N)
+    assert isinstance(cert, Certificate)
+    _, ends, residuals = _reference_plan(q, 6000, cert)
+    first = next(m for m, k in enumerate(ends) if q**k == 0.0)
+    assert residuals[first] == first_residual
+    # the settle scoop: the start of the first unswapped block at q^k == 0.0
+    settle = ends[first + 1] if float.fromhex(first_residual) > 0.0 else ends[first]
+    for scoops in (settle - 1, settle, settle + 1, settle + 41):
+        plan = construct_bounded(q, scoops, cert=cert)
+        assert _plan_bits(plan) == _reference_plan(q, scoops, cert), scoops
 
 
 def test_gap_ratio_identity_exact_oracle():

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from soupdiv import (
     DomainError,
@@ -54,18 +54,33 @@ def test_greedy_symmetric_cancellation():
         assert geometric_fair_division(q, 4).to_text() == "+--+"
 
 
-def test_greedy_returns_pattern_of_recomputed_pairs():
-    # test-local replay of the pairing rule: '-+' when the residual is
-    # positive, '+-' otherwise
-    q, scoops = 0.75, 10_000
+def whole_greedy(q, scoops):
+    """Test-local replay of the pairing rule over every pair: '-+' when the
+    residual is positive, '+-' otherwise."""
     signs, residual = [], 0.0
     for k in range(1, scoops // 2 + 1):
         sign = -1 if residual > 0.0 else 1
         signs += (sign, -sign)
         residual += sign * q ** (2 * k - 1) * (1.0 - q)
-    seq = geometric_fair_division(q, scoops)
+    return tuple(signs)
+
+
+def test_greedy_returns_pattern_of_recomputed_pairs():
+    seq = geometric_fair_division(0.75, 10_000)
     assert type(seq) is PMPattern
-    assert seq.signs == tuple(signs)
+    assert seq.signs == whole_greedy(0.75, 10_000)
+
+
+# the first repeated pair ends at scoop 2,150 for q = 0.7072 and 7,052 for
+# q = 0.9, so draws with q up to about 0.96 and enough pairs cross the scoop
+# where the loop stops; the last two examples end exactly there
+@settings(deadline=None)
+@given(q=st.floats(min_value=INV_SQRT2 - TOL, max_value=0.99), n_pairs=st.integers(1, 10_000))
+@example(q=INV_SQRT2 - TOL, n_pairs=10_000)
+@example(q=0.7072, n_pairs=1_075)
+@example(q=0.9, n_pairs=3_526)
+def test_greedy_matches_whole_loop(q, n_pairs):
+    assert geometric_fair_division(q, 2 * n_pairs).signs == whole_greedy(q, 2 * n_pairs)
 
 
 # SHA-256 of the sign string of geometric_fair_division(q, 10^5). These
