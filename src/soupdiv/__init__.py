@@ -9,7 +9,7 @@ geometric residual) evenly, and numerically checks every bound involved:
   carries constructed divisions, evaluation;
 * :mod:`soupdiv.greedy` -- paired greedy construction for q >= 1/sqrt(2);
 * :mod:`soupdiv.poly` -- exact signs and roots of integer polynomials;
-* :mod:`soupdiv.periodic` -- periodic fairness and exhaustive root search;
+* :mod:`soupdiv.periodic` -- balanced-pattern enumeration and root search;
 * :mod:`soupdiv.approx` -- covering certificates and block constructions
   for q above the quartic threshold (about 0.5845751);
 * :mod:`soupdiv.sim` -- physical simulator (column-stored traces), fairness
@@ -47,10 +47,7 @@ from .core import (
 )
 from .greedy import INV_SQRT2, geometric_fair_division
 from .periodic import (
-    PeriodicHit,
-    PeriodicVerdict,
     RootReport,
-    classify_periodic,
     enumerate_balanced,
     min_period_search,
     pattern_roots,
@@ -86,8 +83,6 @@ __all__ = [
     "InequalityCheck",
     "InputError",
     "PMPattern",
-    "PeriodicHit",
-    "PeriodicVerdict",
     "RootReport",
     "SimulationTrace",
     "TraceRow",
@@ -95,7 +90,6 @@ __all__ = [
     "as_signs",
     "auto_certificate",
     "classify",
-    "classify_periodic",
     "construct_bounded",
     "covering_ratio",
     "enumerate_balanced",

@@ -138,8 +138,6 @@ def _cmd_classify(args: argparse.Namespace) -> Response:
     for key, value in result._asdict().items():
         if key == "kind" or value is None:
             continue
-        if isinstance(value, CertificateFailure):
-            key = "certificate_failure"
         payload[key] = value.to_text() if isinstance(value, PMPattern) else value
     if args.format == "json":
         return code, payload
@@ -168,17 +166,17 @@ def _cmd_greedy(args: argparse.Namespace) -> Response:
 
 def _cmd_periodic_search(args: argparse.Namespace) -> Response:
     results = min_period_search(args.max_degree)
-    rows = [
-        {
-            "degree": degree,
-            "pattern": hit.pattern.to_text(),
-            "roots": list(hit.roots),
-            "negation_partner": hit.negation_partner,
-            "canonical": hit.canonical,
-        }
-        for degree in sorted(results)
-        for hit in results[degree]
-    ]
+    rows = []
+    for degree in sorted(results):
+        for hit in results[degree]:
+            pattern, partner = hit.pattern.to_text(), hit.pattern.negated().to_text()
+            rows.append({
+                "degree": degree,
+                "pattern": pattern,
+                "roots": list(hit.roots),
+                "negation_partner": partner,
+                "canonical": pattern < partner,
+            })
     code = 0 if rows else 1
     if args.format == "json":
         return code, rows

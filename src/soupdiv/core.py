@@ -25,8 +25,8 @@ declared once, in the policy block below:
 
 * ``TOL`` -- additive slack at unit scale. A value counts as zero, and an
   inequality between quantities of order one counts as holding, within it.
-  It is the periodic fairness zero, the certificate slack, the greedy
-  admission band below 1/sqrt(2), and the default bisection width of roots.
+  It is the certificate slack, the greedy admission band below 1/sqrt(2),
+  and the default bisection width of roots.
 * ``TRACE_TOL_PER_SCOOP`` -- rounding budget of a simulated trace: after k
   scoops an envelope comparison allows k times this much.
 * ``ROOT_MATCH_WINDOW`` -- half-width of the window around q in which

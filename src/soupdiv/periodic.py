@@ -1,21 +1,23 @@
-"""Periodic divisions: fairness test, exhaustive pattern enumeration, root search.
+"""Periodic divisions: exhaustive pattern enumeration and root search.
 
 A division that repeats a block of N signs forever is fair exactly when the
 block is balanced (sign sum zero) and its residual sum_{i<=N} s_i q^i
 vanishes, i.e. when q is a root of the corresponding balanced plus-minus
-pattern. :func:`min_period_search` scans all balanced patterns degree by
-degree for roots inside (0, 1); the smallest degree with any hit is 6
-(e.g. "+---++" at the inverse golden ratio).
+pattern. A :class:`RootReport` holds a pattern and its roots in (0, 1).
+:func:`min_period_search` scans all balanced patterns degree by degree for
+roots inside (0, 1); the smallest degree with any hit is 6 (e.g. "+---++"
+at the inverse golden ratio).
 
 Roots are isolated exactly on integer coefficients. A balanced pattern is
 x * (1-x)^m * Q(x) with Q integer and nonzero at 0 and 1, and
 :func:`poly.unit_interval_roots` finds the roots of Q in (0, 1) with no
 decision left to float rounding. Q and its squarefree part have +-1 as
 constant and leading coefficients, so neither has a rational root in
-(0, 1): no root lies on a dyadic bisection midpoint. Rotated patterns
-are distinct periodic divisions and are searched separately; the global
-negation of a pattern has the same roots (plate swap), so each hit records
-its negation partner and the search computes the roots once per pair.
+(0, 1). No root therefore lies on a dyadic bisection midpoint or on any
+other double: no periodic division is exactly fair at a double q.
+Rotated patterns are distinct periodic divisions and are searched
+separately; the global negation of a pattern has the same roots (plate
+swap), so the search computes the roots once per negation pair.
 
 :func:`min_period_search` enumerates every balanced pattern, a count that
 grows like 2^n/sqrt(n) in the degree, so it refuses degrees above
@@ -37,16 +39,7 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
-from .core import (
-    TOL,
-    DomainError,
-    InputError,
-    PMPattern,
-    Signs,
-    as_signs,
-    eval_pm,
-    require_unit_open,
-)
+from .core import TOL, DomainError, InputError, PMPattern, as_signs, eval_pm
 from .poly import unit_interval_roots
 
 # Largest degree min_period_search enumerates: 66,196 balanced patterns
@@ -62,43 +55,11 @@ MAX_MEMBERSHIP_DEGREE = 64
 MAX_MEMBERSHIP_NODES = 100_000
 
 
-class PeriodicVerdict(NamedTuple):
-    """Fairness of one period: fair iff sign_sum == 0 and residual is zero-ish."""
-
-    fair: bool
-    sign_sum: int
-    residual_abs: float
-
-
 class RootReport(NamedTuple):
-    pattern: PMPattern
-    roots: tuple[float, ...]
-
-
-class PeriodicHit(NamedTuple):
-    """A balanced pattern with at least one root in (0, 1).
-
-    ``negation_partner`` is the plate-swapped pattern text, which has the same
-    roots; ``canonical`` is True for the lexicographically smaller of the pair.
-    """
+    """A pattern and its roots in (0, 1), in increasing order."""
 
     pattern: PMPattern
     roots: tuple[float, ...]
-    negation_partner: str
-    canonical: bool
-
-
-def classify_periodic(pattern: Signs, q: float) -> PeriodicVerdict:
-    """Decide fairness of the periodic division that repeats ``pattern``;
-    a residual within ``core.TOL`` counts as zero."""
-    require_unit_open(q)
-    signs = as_signs(pattern)
-    if not signs:
-        raise InputError("period must be nonempty")
-    sign_sum = sum(signs)
-    residual_abs = abs(eval_pm(signs, q))
-    fair = sign_sum == 0 and residual_abs <= TOL
-    return PeriodicVerdict(fair=fair, sign_sum=sign_sum, residual_abs=residual_abs)
 
 
 def enumerate_balanced(n: int) -> Iterator[PMPattern]:
@@ -246,10 +207,11 @@ def pattern_roots(pattern: PMPattern) -> RootReport:
     return RootReport(pattern=pattern, roots=tuple(unit_interval_roots(cofactor)))
 
 
-def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
+def min_period_search(max_N: int) -> dict[int, list[RootReport]]:
     """Search every period length N <= max_N for patterns with roots in (0, 1).
 
-    Odd N carry an empty list (no balanced pattern exists). The enumeration
+    Each degree maps to the reports that have roots, in enumeration order;
+    odd N carry an empty list (no balanced pattern exists). The enumeration
     order is deterministic, so the output is reproducible; no claim of having
     listed every fair division is made beyond the searched degrees. Roots are
     computed once per negation pair, for the first half of each degree's
@@ -265,9 +227,9 @@ def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
             f"periodic search degree {max_N} exceeds the cap of "
             f"{MAX_SEARCH_DEGREE}; choose a smaller degree"
         )
-    results: dict[int, list[PeriodicHit]] = {}
+    results: dict[int, list[RootReport]] = {}
     for n in range(1, max_N + 1):
-        hits: list[PeriodicHit] = []
+        hits: list[RootReport] = []
         if n % 2 == 0:
             # Negation reverses the lexicographic order, so the k-th pattern
             # from the end is the negation of the k-th, with the same roots.
@@ -280,14 +242,6 @@ def min_period_search(max_N: int) -> dict[int, list[PeriodicHit]]:
                 else:
                     roots = first.pop()
                 if roots:
-                    partner = pattern.negated().to_text()
-                    hits.append(
-                        PeriodicHit(
-                            pattern=pattern,
-                            roots=roots,
-                            negation_partner=partner,
-                            canonical=pattern.to_text() < partner,
-                        )
-                    )
+                    hits.append(RootReport(pattern=pattern, roots=roots))
         results[n] = hits
     return results

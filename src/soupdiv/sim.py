@@ -49,13 +49,7 @@ from bisect import bisect_left
 from itertools import accumulate, count
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .approx import (
-    Q_INF,
-    Certificate,
-    CertificateFailure,
-    FairDivisionPlan,
-    auto_certificate,
-)
+from .approx import Q_INF, Certificate, FairDivisionPlan, auto_certificate
 from .core import (
     ROOT_MATCH_WINDOW, TOL, TRACE_TOL_PER_SCOOP, InputError, Signs, as_signs, bisect_root,
     eval_pm, geometric_tail, require_unit_open,
@@ -296,7 +290,7 @@ class FeasibilityClass(NamedTuple):
     kind: FeasibilityKind
     witness_gap: Optional[float] = None
     threshold: Optional[float] = None
-    certificate: Optional[Union[Certificate, CertificateFailure]] = None
+    certificate: Optional[Certificate] = None
     pattern: Optional[PMPattern] = None
     root: Optional[float] = None
     searched_degree: Optional[int] = None
@@ -308,10 +302,13 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     q <= 1/2 is infeasible with witness gap q - sum_{i>=2} q^i >= 0; where
     :func:`greedy.in_greedy_regime` admits q (1/sqrt(2) and up, less
     ``core.TOL``) the greedy pairing applies; above the quartic threshold the
-    covering certificate applies (the auto-certificate outcome is attached
-    as the witness). In the open window the first balanced pattern of degree
-    <= ``search_degree`` (by degree, then lexicographically) that changes
-    sign on q +- ``core.ROOT_MATCH_WINDOW`` is found by
+    covering certificate applies, and the certificate is attached as the
+    witness. One always exists there: above q_inf the N = 64 gap inequality
+    ratio <= A holds exactly, and for N >= 2 the gap inequality implies the
+    base one, since ratio - (1-q)/q = (1-q)(2q-1)/(q(1+q^2)) > 0. In the
+    open window the first balanced pattern of degree <= ``search_degree``
+    (by degree, then lexicographically) that changes sign on
+    q +- ``core.ROOT_MATCH_WINDOW`` is found by
     :func:`periodic.first_bracketed_pattern`, bisected and returned as a
     periodic match; otherwise the answer is Unknown, which must not be
     strengthened. There a search_degree above

@@ -9,6 +9,7 @@ sign scans, naive cumulative sums), never from the code paths under test.
 import math
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ import pytest
 from soupdiv import (
     Certificate,
     CertificateFailure,
+    as_signs,
     auto_certificate,
     classify,
-    classify_periodic,
     construct_bounded,
     covering_ratio,
     enumerate_balanced,
@@ -33,6 +34,7 @@ from soupdiv import (
 )
 from soupdiv.approx import DEFAULT_N_MAX
 from soupdiv.cli import run
+from soupdiv.poly import exact_sign
 
 PHI_INV = 0.6180339887
 
@@ -69,8 +71,14 @@ def test_criterion_2_minimal_period_six(capsys):
     assert "+---++" in six and "-+++--" in six
     root = six["+---++"].roots[0]
     assert abs(root - PHI_INV) <= 1e-9
-    verdict = classify_periodic("+---++", root)
-    assert verdict.fair and verdict.residual_abs <= 1e-12
+    # no double is an exact root, so check the witness instead: the integer
+    # cofactor (the pattern divided by x, then by 1 - x as prefix sums while
+    # it vanishes at 1) changes sign exactly across root +- 1e-12
+    cofactor = list(as_signs("+---++"))
+    while sum(cofactor) == 0:
+        cofactor = list(accumulate(cofactor))[:-1]
+    sign = exact_sign(cofactor)
+    assert sign(root - 1e-12) * sign(root + 1e-12) < 0
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     with capsys.disabled():

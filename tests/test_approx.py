@@ -178,6 +178,22 @@ def test_failure_gap_family():
     assert failure.ratio > failure.A
 
 
+def test_endpoint_sides_are_one_rounding_apart():
+    # A is defined as P_N(q) / (1 - q^2N), so the recorded endpoint check
+    # A <= P_N(q) + A*q^2N cannot fail: its sides differ by rounding alone
+    rng = random.Random(28)
+    certified = 0
+    for _ in range(200):
+        q = rng.uniform(Q_INF, 1.0)
+        for N in range(1, DEFAULT_N_MAX + 1):
+            cert = verify_certificate(q, N)
+            if isinstance(cert, Certificate):
+                end = cert.checks.endpoint
+                assert end.ok and abs(end.lhs - end.rhs) <= 4 * math.ulp(1.0), (q, N)
+                certified += 1
+    assert certified > 10_000
+
+
 def test_verify_certificate_domain():
     with pytest.raises(DomainError):
         verify_certificate(0.5, 4)

@@ -1,5 +1,6 @@
 """Command-line behavior: output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -86,6 +87,21 @@ def test_periodic_search_finds_golden(capsys):
     assert golden[0]["degree"] == 6
     assert abs(golden[0]["roots"][0] - 0.618034) <= 1e-5
     assert golden[0]["negation_partner"] == "-+++--"
+
+
+# SHA-256 of `periodic-search --max-degree 14` (1,482 rows), a degree past
+# the golden files
+PERIODIC_SEARCH_14_DIGESTS = {
+    "json": "c7146af2298058da6aa3109986d263c3df9a3b19814050a6984017a24325e8c0",
+    "text": "843412b1fd8f23ac8a5c72246e3f0ff62be9a8e42b6f88aa3de17c7a9085cbff",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PERIODIC_SEARCH_14_DIGESTS))
+def test_periodic_search_14_is_pinned(capsys, fmt):
+    code, out, _ = invoke(capsys, "periodic-search", "--max-degree", "14", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PERIODIC_SEARCH_14_DIGESTS[fmt]
 
 
 def test_periodic_search_empty_is_negative(capsys):

@@ -21,6 +21,7 @@ from soupdiv import (
     geometric_fair_division,
     geometric_tail,
     parse_signs,
+    pattern_roots,
     prefix_diagnostics,
     signs_to_text,
 )
@@ -36,6 +37,9 @@ def naive_eval(signs, q):
 
 def test_eval_forced_arithmetic():
     assert eval_pm("+-", 0.5) == pytest.approx(0.25, abs=1e-15)
+    # "++--" factors as q(1+q)(1-q^2), strictly positive on (0,1)
+    q = 0.3
+    assert eval_pm("++--", q) == pytest.approx(q * (1 + q) * (1 - q * q), rel=1e-13)
 
 
 def test_eval_against_naive_oracle_example():
@@ -67,6 +71,10 @@ def test_eval_rejects_bad_q(bad_q):
 def test_eval_rejects_empty():
     with pytest.raises(InputError):
         eval_pm("", 0.5)
+    with pytest.raises(InputError, match="cannot diagnose an empty sign sequence"):
+        prefix_diagnostics("", 0.5)
+    with pytest.raises(InputError, match="cannot find roots of an empty sign sequence"):
+        pattern_roots("")
 
 
 def test_prefix_diagnostics_sign_sums():

@@ -1,4 +1,4 @@
-"""Periodic fairness, exhaustive enumeration, and root isolation."""
+"""Exhaustive balanced-pattern enumeration and root isolation."""
 
 import functools
 import itertools
@@ -15,7 +15,6 @@ from soupdiv import (
     DomainError,
     InputError,
     PMPattern,
-    classify_periodic,
     enumerate_balanced,
     eval_pm,
     min_period_search,
@@ -28,46 +27,6 @@ from soupdiv.periodic import MAX_SEARCH_DEGREE
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN = "+---++"
-
-
-def test_classify_unbalanced_residual():
-    verdict = classify_periodic("+-", 0.5)
-    assert not verdict.fair
-    assert verdict.sign_sum == 0
-    assert verdict.residual_abs == pytest.approx(0.25, abs=1e-15)
-
-
-def test_classify_golden_period_is_fair():
-    verdict = classify_periodic(GOLDEN, PHI_INV)
-    assert verdict.fair
-    assert verdict.sign_sum == 0
-    assert verdict.residual_abs <= 1e-12
-
-
-def test_classify_plus_plus_minus_minus():
-    q = 0.3
-    verdict = classify_periodic("++--", q)
-    assert not verdict.fair
-    # residual factors as q(1+q)(1-q^2), strictly positive on (0,1)
-    assert verdict.residual_abs == pytest.approx(q * (1 + q) * (1 - q * q), rel=1e-13)
-
-
-def test_classify_unbalanced_sign_sum():
-    verdict = classify_periodic("++-", 0.5)
-    assert not verdict.fair
-    assert verdict.sign_sum == 1
-
-
-def test_classify_respects_zero_tol():
-    # the verdict is a statement at the declared tolerance core.TOL, not an
-    # exact-real one: the golden root is fair, a point 1e-9 away is not
-    assert not classify_periodic("+-", 0.5).fair
-    at_root = classify_periodic(GOLDEN, PHI_INV)
-    assert at_root.fair and at_root.residual_abs <= TOL
-    nearby = classify_periodic(GOLDEN, PHI_INV + 1e-9)
-    assert nearby.sign_sum == 0
-    assert nearby.residual_abs > TOL
-    assert not nearby.fair
 
 
 def test_enumerate_small_degrees():
@@ -364,17 +323,15 @@ def test_search_finds_golden_at_six():
     assert GOLDEN in six
     golden_hit = six[GOLDEN]
     assert abs(golden_hit.roots[0] - PHI_INV) <= 1e-9
-    assert golden_hit.negation_partner == "-+++--"
-    assert golden_hit.canonical
+    assert golden_hit.pattern.negated().to_text() == "-+++--"
 
 
 def test_search_negation_closure():
     results = min_period_search(6)
     by_text = {hit.pattern.to_text(): hit for hit in results[6]}
     for text, hit in by_text.items():
-        partner = by_text[hit.negation_partner]
+        partner = by_text[hit.pattern.negated().to_text()]
         assert partner.roots == hit.roots
-        assert hit.canonical != partner.canonical
 
 
 def test_search_validation():

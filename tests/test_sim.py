@@ -20,6 +20,7 @@ from soupdiv import (
     FeasibilityKind,
     InputError,
     PMPattern,
+    SimulationTrace,
     Verdict,
     classify,
     construct_bounded,
@@ -83,6 +84,9 @@ def test_simulate_refuses_an_empty_division():
     for empty in ("", (), []):
         with pytest.raises(InputError, match="cannot simulate an empty sign sequence"):
             simulate(0.5, empty)
+    empty_trace = SimulationTrace(0.5, (), array("q"), array("d"), array("d"))
+    with pytest.raises(InputError, match="cannot report on an empty trace"):
+        fairness_report(empty_trace)
 
 
 def reference_simulate(q, signs, steps):
@@ -528,6 +532,17 @@ def test_classify_certificate_regime_starts_above_q_inf():
         assert classify(q).kind is FeasibilityKind.UNKNOWN
     above = classify(math.nextafter(Q_INF, 1.0))
     assert above.kind is FeasibilityKind.BOUNDED_FAIR_CERTIFICATE
+
+
+def test_classify_certificate_regime_carries_a_certificate():
+    # the lowest and the highest float of the regime (auto N = 32 and 2):
+    # above q_inf the N = 64 gap inequality holds, and for N >= 2 it implies
+    # the base one, so a certificate, never a failure, is attached
+    for q in (math.nextafter(Q_INF, 1.0), math.nextafter(INV_SQRT2 - TOL, 0.0)):
+        result = classify(q)
+        assert result.kind is FeasibilityKind.BOUNDED_FAIR_CERTIFICATE
+        assert isinstance(result.certificate, Certificate), q
+        assert result.certificate.q == q
 
 
 def test_classify_unknown():
