@@ -19,9 +19,13 @@ Rotated patterns are distinct periodic divisions and are searched
 separately; the global negation of a pattern has the same roots (plate
 swap), so the search computes the roots once per negation pair.
 
-:func:`min_period_search` enumerates every balanced pattern, a count that
-grows like 2^n/sqrt(n) in the degree, so it refuses degrees above
-:data:`MAX_SEARCH_DEGREE` up front.
+:func:`min_period_search` screens every balanced pattern that opens with
+'+', a count that grows like 2^n/sqrt(n) in the degree, so it refuses
+degrees above :data:`MAX_SEARCH_DEGREE` up front. Each pattern is packed
+into one integer whose base-2^(n+1) digits are its Descartes coefficients
+(:func:`_packing`), and one AND with a mask decides whether Descartes'
+rule allows a root in (0, 1); only the patterns that pass go to
+:func:`pattern_roots`, about one in five at degree 8.
 
 The open-window branch of ``sim.classify`` asks a narrower question: which
 is the first balanced pattern that changes sign on a short window around q?
@@ -36,14 +40,13 @@ evaluate 1,274 patterns. It refuses degrees above
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .core import TOL, DomainError, InputError, PMPattern, as_signs, eval_pm
 from .poly import unit_interval_roots
 
-# Largest degree min_period_search enumerates: 66,196 balanced patterns
-# through degree 18 (1.5 s, or 3.2 s for `periodic-search` with its JSON
+# Largest degree min_period_search screens: 66,196 balanced patterns
+# through degree 18 (0.7 s, or 1.2 s for `periodic-search` with its JSON
 # output, on one Xeon core with Python 3.11), 250,952 through 20.
 MAX_SEARCH_DEGREE = 18
 
@@ -210,15 +213,17 @@ def pattern_roots(pattern: PMPattern) -> RootReport:
 def min_period_search(max_N: int) -> dict[int, list[RootReport]]:
     """Search every period length N <= max_N for patterns with roots in (0, 1).
 
-    Each degree maps to the reports that have roots, in enumeration order;
-    odd N carry an empty list (no balanced pattern exists). The enumeration
-    order is deterministic, so the output is reproducible; no claim of having
-    listed every fair division is made beyond the searched degrees. Roots are
-    computed once per negation pair, for the first half of each degree's
-    enumeration; the second half holds their negations, in reverse order.
-    Raises InputError before enumerating anything when max_N is not an
-    integer of at least 2, or when the largest even degree searched exceeds
-    :data:`MAX_SEARCH_DEGREE` (so 19 is admitted).
+    Each degree maps to the reports that have roots, in the lexicographic
+    order of :func:`enumerate_balanced`; odd N carry an empty list (no
+    balanced pattern exists). The order is deterministic, so the output is
+    reproducible; no claim of having listed every fair division is made
+    beyond the searched degrees. Roots are computed once per negation pair,
+    for the patterns that open with '+' and pass the packed Descartes screen
+    (:func:`_screened_hits`); the second half of the order holds their
+    negations, in reverse order. Raises InputError before enumerating
+    anything when max_N is not an integer of at least 2, or when the largest
+    even degree searched exceeds :data:`MAX_SEARCH_DEGREE` (so 19 is
+    admitted).
     """
     if not isinstance(max_N, int) or max_N < 2:
         raise InputError(f"max_N must be an integer of at least 2, got {max_N!r}")
@@ -229,19 +234,58 @@ def min_period_search(max_N: int) -> dict[int, list[RootReport]]:
         )
     results: dict[int, list[RootReport]] = {}
     for n in range(1, max_N + 1):
-        hits: list[RootReport] = []
-        if n % 2 == 0:
-            # Negation reverses the lexicographic order, so the k-th pattern
-            # from the end is the negation of the k-th, with the same roots.
-            half = comb(n, n // 2) // 2
-            first: list[tuple[float, ...]] = []
-            for k, pattern in enumerate(enumerate_balanced(n)):
-                if k < half:
-                    roots = pattern_roots(pattern).roots
-                    first.append(roots)
-                else:
-                    roots = first.pop()
-                if roots:
-                    hits.append(RootReport(pattern=pattern, roots=roots))
-        results[n] = hits
+        hits = _screened_hits(n) if n % 2 == 0 else []
+        # Negation reverses the lexicographic order, so the second half
+        # holds the negations of the first, in reverse order.
+        results[n] = hits + [RootReport(hit.pattern.negated(), hit.roots) for hit in reversed(hits)]
     return results
+
+
+def _packing(n: int) -> tuple[list[int], int]:
+    """Kronecker packing of the degree-n patterns for Descartes' rule.
+
+    The pattern divided by x is R(x) = sum_i s_i x^i, i < n. Returns the
+    powers Y^(n-1-i) of Y = 2^w + 1 with w = n + 1, so that a pattern packs
+    into V = sum_i s_i Y^(n-1-i), and ``high``, the top bit of each of the n
+    base-2^w digits. As Y^k = sum_j C(k, j) 2^(wj), the digits of V are the
+    coefficients T_j = sum_i s_i C(n-1-i, j) of (1+t)^(n-1) R(1/(1+t)), and
+    |T_j| <= C(n, j+1) < 2^(w-1), so no digit overflows (Kronecker
+    substitution; von zur Gathen and Gerhard, "Fast algorithms for Taylor
+    shifts", ISSAC 1997). For a pattern that opens with '+', T_(n-1) = +1,
+    so the T_j change sign exactly when one is negative, and then the lowest
+    negative digit borrows and sets its top bit: ``V & high == 0`` holds
+    exactly when Descartes' rule counts no root in (0, 1). With
+    R = (1-x)^m Q the T_j are those of the cofactor Q shifted by m places,
+    so this is the test that :func:`pattern_roots` makes first on Q.
+    """
+    w = n + 1
+    y = (1 << w) + 1
+    powers = [y ** (n - 1 - i) for i in range(n)]
+    high = sum(1 << (w * j + w - 1) for j in range(n))
+    return powers, high
+
+
+def _screened_hits(n: int) -> list[RootReport]:
+    """Reports with roots of the degree-n balanced patterns that open with
+    '+', in lexicographic order: the first half of :func:`enumerate_balanced`.
+
+    Each pattern's packed value (:func:`_packing`) is the value of '+-...-'
+    plus twice the powers at its other '+' positions, summed over index
+    combinations in lexicographic order; only the patterns whose value
+    fails the no-root test reach :func:`pattern_roots`.
+    """
+    powers, high = _packing(n)
+    base = powers[0] - sum(powers[1:])  # '+' first, '-' elsewhere
+    doubled = [2 * power for power in powers[1:]]  # turning a '-' into a '+'
+    half = n // 2 - 1
+    hits: list[RootReport] = []
+    for plus, rise in zip(combinations(range(1, n), half), map(sum, combinations(doubled, half))):
+        if (base + rise) & high:
+            signs = [-1] * n
+            signs[0] = 1
+            for pos in plus:
+                signs[pos] = 1
+            report = pattern_roots(PMPattern._trusted(signs))
+            if report.roots:
+                hits.append(report)
+    return hits

@@ -4,7 +4,11 @@ order of power, so [-1, 0, 1] is x^2 - 1, with exact signs and roots.
 :func:`exact_sign` trusts a float Horner value only where its error bound
 proves the sign. :func:`unit_interval_roots` screens with one Descartes
 count and splits harder cases by Vincent-Collins-Akritas bisection
-(Collins and Akritas, 1976). No decision depends on float rounding.
+(Collins and Akritas, 1976). Each root is then bisected on the exact sign,
+starting in the dyadic cell where that bisection ends: a safeguarded float
+Newton estimate names the cell, and the exact sign at its two ends accepts
+it or sends the bisection back to the isolating interval. No decision
+depends on float rounding.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ def unit_interval_roots(q: list[int]) -> list[float]:
     single simple root, isolated by (0, 1) and bisected on q itself. Only
     with more changes does isolation run on the squarefree part
     q / gcd(q, q'), and each root is bisected on that part. Bisection runs
-    to width <= ``core.TOL`` on the exact sign from :func:`exact_sign`.
+    to width <= ``core.TOL`` on the exact sign from :func:`exact_sign`,
+    started in its final cell where :func:`_refine` can confirm that cell.
     Every pattern cofactor meets the precondition: its constant and leading
     coefficients are +-1, so are those of its squarefree part (Gauss's
     lemma), and by the rational root theorem its only rational roots are
@@ -161,5 +166,64 @@ def unit_interval_roots(q: list[int]) -> list[float]:
         q = exact_quotient(q, poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
         intervals = isolate(q)
     sign = exact_sign(q)
-    roots = [bisect_root(sign, c / (1 << k), (c + 1) / (1 << k), TOL) for c, k in intervals]
+    roots = [_refine(q, sign, c / (1 << k), (c + 1) / (1 << k)) for c, k in intervals]
     return sorted(roots)
+
+
+def _newton_estimate(q: list[int], lo: float, hi: float) -> float:
+    """A float estimate of the one root of q in (lo, hi): Newton steps on
+    the float Horner value and derivative, safeguarded by bisection of a
+    float sign bracket (rtsafe, Press et al., Numerical Recipes, 9.4). Every
+    iterate stays in [lo, hi]. Only a guess: no decision rests on it."""
+    coeffs = [float(c) for c in reversed(q)]
+    f_lo = 0.0
+    for c in coeffs:
+        f_lo = f_lo * lo + c
+    x = 0.5 * (lo + hi)
+    step = step_before = hi - lo
+    for _ in range(64):
+        f = df = 0.0
+        for c in coeffs:
+            df = df * x + f
+            f = f * x + c
+        if f == 0.0:
+            break
+        if (f < 0.0) == (f_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        step_before, step = step, f / df if df else hi - lo
+        # bisect when Newton leaves the bracket, or halves no step in two
+        if not lo <= x - step <= hi or abs(step) > 0.5 * abs(step_before):
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        if abs(step) <= TOL:
+            break
+    return x
+
+
+def _refine(q: list[int], sign: Callable[[float], float], lo: float, hi: float) -> float:
+    """``bisect_root(sign, lo, hi, TOL)`` for the one root of q in
+    (lo, hi) = (c/2^k, (c+1)/2^k), started in its final cell.
+
+    On an exact sign that bisection returns the midpoint of one dyadic
+    cell: the cell of the first halving width <= ``TOL`` that holds the
+    root. No root is dyadic, so no midpoint is zero and every bracket holds
+    the root. :func:`_newton_estimate` names a cell, and the cell is kept
+    when ``sign`` changes between its two ends, which places the root in it
+    because (lo, hi) holds only that root; bisection from the cell then
+    returns the same float. Otherwise, or when the coefficients are no
+    exact floats, bisection starts from (lo, hi).
+    """
+    width = hi - lo
+    while width > TOL:
+        width *= 0.5
+    if max(map(abs, q)) < 1 << 53:
+        cells = round((hi - lo) / width)
+        x = _newton_estimate(q, lo, hi)
+        a = lo + min(max(int((x - lo) / width), 0), cells - 1) * width
+        b = a + width
+        s_a, s_b = sign(a), sign(b)
+        if s_a and s_b and (s_a < 0.0) != (s_b < 0.0):
+            return bisect_root(sign, a, b, TOL)
+    return bisect_root(sign, lo, hi, TOL)

@@ -1,6 +1,7 @@
 """Exhaustive balanced-pattern enumeration and root isolation."""
 
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -349,8 +350,15 @@ def test_search_computes_roots_once_per_negation_pair(monkeypatch):
 
     monkeypatch.setattr(periodic, "pattern_roots", counted)
     results = min_period_search(10)
-    assert len(calls) == sum(math.comb(n, n // 2) // 2 for n in range(2, 11, 2))
+    assert all(p[0] == 1 for p in calls)
+    assert len(set(calls)) == len(calls)
     assert not {p.negated() for p in calls} & set(calls)
+    # every pattern the screen kept from pattern_roots has no root
+    skipped = {
+        p for n in range(2, 11, 2) for p in enumerate_balanced(n) if p[0] == 1
+    } - set(calls)
+    assert len(skipped) + len(calls) == sum(math.comb(n, n // 2) // 2 for n in range(2, 11, 2))
+    assert all(_reference_roots(p) == () for p in skipped)
     hits = [hit for degree_hits in results.values() for hit in degree_hits]
     assert len(hits) == 90
     for hit in hits:
@@ -358,10 +366,10 @@ def test_search_computes_roots_once_per_negation_pair(monkeypatch):
 
 
 def test_search_budget_refuses_before_enumerating(monkeypatch):
-    def refuse(n):
+    def refuse(*args):
         raise AssertionError("enumerated patterns before checking the budget")
 
-    monkeypatch.setattr(periodic, "enumerate_balanced", refuse)
+    monkeypatch.setattr(periodic, "combinations", refuse)
     for degree in (20, 40, 10**9):
         with pytest.raises(InputError, match=f"exceeds the cap of {MAX_SEARCH_DEGREE};"):
             min_period_search(degree)
@@ -369,6 +377,116 @@ def test_search_budget_refuses_before_enumerating(monkeypatch):
     for degree in (MAX_SEARCH_DEGREE, MAX_SEARCH_DEGREE + 1):
         with pytest.raises(AssertionError, match="enumerated patterns"):
             min_period_search(degree)
+
+
+def _signed_digits(v, width, count):
+    """The count lowest base-2^width digits of v, each in [-2^(width-1), 2^(width-1))."""
+    digits = []
+    for _ in range(count):
+        d = v & ((1 << width) - 1)
+        if d >= 1 << (width - 1):
+            d -= 1 << width
+        digits.append(d)
+        v = (v - d) >> width
+    return digits
+
+
+def test_packed_screen_is_the_descartes_count(monkeypatch):
+    checked = 0
+    for n in range(2, 17, 2):
+        powers, high = periodic._packing(n)
+        for pattern in enumerate_balanced(n):
+            if pattern[0] != 1:
+                continue
+            r = list(pattern)  # the pattern divided by x
+            shifted = poly.shift_by_one(r[::-1])
+            packed = sum(s * power for s, power in zip(pattern, powers))
+            assert _signed_digits(packed, n + 1, n) == shifted, pattern.to_text()
+            no_root = poly.sign_changes(shifted) == 0
+            assert (packed & high == 0) == no_root, pattern.to_text()
+            checked += 1
+    assert checked == sum(math.comb(n, n // 2) // 2 for n in range(2, 17, 2))
+    # the search hands exactly the patterns that fail the screen to pattern_roots
+    calls = []
+
+    def recorded(pattern):
+        calls.append(pattern)
+        return periodic.RootReport(pattern, ())
+
+    monkeypatch.setattr(periodic, "pattern_roots", recorded)
+    assert all(hits == [] for hits in min_period_search(16).values())
+    expected = [
+        p
+        for n in range(2, 17, 2)
+        for p in enumerate_balanced(n)
+        if p[0] == 1 and poly.sign_changes(poly.shift_by_one(list(p)[::-1])) > 0
+    ]
+    assert calls == expected
+
+
+def _isolated(signs):
+    """The polynomial and isolating intervals unit_interval_roots bisects on."""
+    q = _cofactor(signs)
+    changes = poly.sign_changes(poly.shift_by_one(q[::-1]))
+    if changes < 2:
+        return q, [(0, 0)] * changes
+    q = _squarefree_part(q)
+    return q, poly.isolate(q)
+
+
+def _bisected_from_isolation(signs):
+    q, intervals = _isolated(signs)
+    sign = poly.exact_sign(q)
+    return tuple(
+        sorted(bisect_root(sign, c / (1 << k), (c + 1) / (1 << k), TOL) for c, k in intervals)
+    )
+
+
+@pytest.mark.parametrize("estimate", ["newton", "lo", "hi", "next cell"])
+def test_roots_start_in_their_final_cell(monkeypatch, estimate):
+    starts = []
+
+    def recorded(f, lo, hi, tol):
+        starts.append(hi - lo)
+        return bisect_root(f, lo, hi, tol)
+
+    monkeypatch.setattr(poly, "bisect_root", recorded)
+    if estimate == "lo":
+        monkeypatch.setattr(poly, "_newton_estimate", lambda q, lo, hi: lo)
+    elif estimate == "hi":
+        monkeypatch.setattr(poly, "_newton_estimate", lambda q, lo, hi: hi)
+    elif estimate == "next cell":
+        newton = poly._newton_estimate
+        monkeypatch.setattr(
+            poly, "_newton_estimate", lambda q, lo, hi: min(newton(q, lo, hi) + 2 * TOL, hi)
+        )
+    roots = 0
+    for n in range(2, 15, 2):
+        for pattern in enumerate_balanced(n):
+            starts.clear()
+            got = pattern_roots(pattern).roots
+            assert got == _bisected_from_isolation(pattern), pattern.to_text()
+            roots += len(got)
+            if estimate == "newton":  # every bisection starts in its final cell
+                assert all(width <= TOL for width in starts), pattern.to_text()
+            else:  # every cell check fails, and bisection starts from isolation
+                assert [width > TOL for width in starts] == [True] * len(got), pattern.to_text()
+    assert roots == 1538
+
+
+def test_search_16_is_pinned():
+    # SHA-256 of one "<pattern> <root.hex()>" line per root, as the full
+    # enumeration with bisection from every isolating interval printed them
+    results = min_period_search(16)
+    assert sum(map(len, results.values())) == 5736
+    text = "".join(
+        f"{hit.pattern.to_text()} {root.hex()}\n"
+        for hits in results.values()
+        for hit in hits
+        for root in hit.roots
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "add80f245b3af38488293d7678b890dab00d890e218ebdca06f0abf018b94057"
 
 
 def test_fair_period_agrees_with_simulation():
