@@ -158,7 +158,7 @@ def _cmd_greedy(args: argparse.Namespace) -> Response:
         "q": args.q,
         "scoops": args.scoops,
         "signs": seq.to_text(),
-        "max_abs_sign_sum": max(abs(s) for s in sign_sums),
+        "max_abs_sign_sum": max(map(abs, sign_sums)),
         "final_residual": residuals[-1],
         "final_residual_bound": args.q ** (args.scoops + 1) / (1.0 + args.q),
     }

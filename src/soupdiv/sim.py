@@ -9,20 +9,20 @@ deliveries independently so that identity can be verified rather than
 assumed.
 
 A trace (:class:`SimulationTrace`) is the read-only sequence of its rows,
-stored by column: the signs, and after every scoop the whole-scoop
-imbalance and the surface stuff on each plate, in stdlib arrays of 8 bytes
-per scoop each. The other fields of the CSV schema follow from these, so a
-:class:`TraceRow` is built only when one is read; a 10^5-scoop trace takes
-about 3 MiB instead of one object per scoop. The deliveries themselves (one
-dissolved unit, and (1-q) * q^(i-1)) are not stored.
+stored by column: the signs, and after every scoop the surface stuff on
+each plate, in two stdlib arrays of 8 bytes per scoop each. The other
+fields of the CSV schema follow from these, the whole-scoop imbalance
+being the running sign sum, so a :class:`TraceRow` is built only when one
+is read; a 10^5-scoop trace takes about 1.5 MiB instead of one object per
+scoop. The deliveries themselves (one dissolved unit, and
+(1-q) * q^(i-1)) are not stored.
 
 The plate columns are computed scoop by scoop only until they settle: the
 loop of :func:`simulate` stops at the first scoop whose delivery would
 change neither plate total. Each later delivery is no larger, since the
 powers of q only shrink and rounding is monotone, so no later scoop moves
 either total; the rest of each plate column repeats its settled total,
-the same bits the full loop stores. The sign-sum column is a running
-integer sum.
+the same bits the full loop stores.
 
 Verdicts of :func:`fairness_report` are observational statements about the
 finite trace, never proofs about the limit. Its walk over the enveloped
@@ -46,7 +46,7 @@ import csv
 import enum
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, count
+from itertools import accumulate, count, islice
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .approx import Q_INF, Certificate, FairDivisionPlan, auto_certificate
@@ -78,34 +78,60 @@ def _row(k: int, s: int, d: int, plus2: float, minus2: float) -> TraceRow:
 
 class SimulationTrace(Sequence[TraceRow]):
     """A simulated run: a read-only sequence of :class:`TraceRow`, one per
-    scoop, stored by column. After scoop k (1-based) the whole-scoop
-    imbalance is ``imbalance1[k-1]`` and the surface stuff on the plates is
-    ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``; every other row field
-    follows from these, so a row is built only when it is read."""
+    scoop, stored by column. After scoop k (1-based) the surface stuff on
+    the plates is ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``, and the
+    whole-scoop imbalance is the sum of the first k signs. Every other row
+    field follows from these, so a row is built only when it is read.
 
-    __slots__ = ("q", "signs", "imbalance1", "stuff2_plus", "stuff2_minus")
+    Reading ``trace[k]`` sums k + 1 signs. Iteration, ``reversed``, slices
+    and ``index`` each make one pass over the signs, so none is quadratic."""
 
-    def __init__(self, q: float, signs: tuple[int, ...], imbalance1: array,
-                 stuff2_plus: array, stuff2_minus: array) -> None:
+    __slots__ = ("q", "signs", "stuff2_plus", "stuff2_minus")
+
+    def __init__(self, q: float, signs: tuple[int, ...], stuff2_plus: array,
+                 stuff2_minus: array) -> None:
         self.q = q
         self.signs = signs
-        self.imbalance1 = imbalance1  # typecode "q"
         self.stuff2_plus = stuff2_plus  # typecode "d"
         self.stuff2_minus = stuff2_minus  # typecode "d"
 
     def __len__(self) -> int:
         return len(self.signs)
 
+    def _rows(self, k: range) -> Iterator[TraceRow]:
+        """The rows at the ascending indices ``k``, from one pass over the
+        columns up to the last of them."""
+        columns = (self.signs, accumulate(self.signs), self.stuff2_plus, self.stuff2_minus)
+        return map(_row, count(k.start + 1, k.step),
+                   *(islice(column, k.start, k.stop, k.step) for column in columns))
+
     def __getitem__(self, i: Union[int, slice]) -> Union[TraceRow, list[TraceRow]]:
         k = range(len(self))[i]
         if isinstance(k, range):
-            return [self[j] for j in k]
-        return _row(k + 1, self.signs[k], self.imbalance1[k], self.stuff2_plus[k],
+            if k.step > 0:
+                return list(self._rows(k))
+            rows = list(self._rows(k[::-1]))
+            rows.reverse()
+            return rows
+        return _row(k + 1, self.signs[k], sum(islice(self.signs, k + 1)), self.stuff2_plus[k],
                     self.stuff2_minus[k])
 
     def __iter__(self) -> Iterator[TraceRow]:
-        return map(_row, count(1), self.signs, self.imbalance1, self.stuff2_plus,
-                   self.stuff2_minus)
+        return self._rows(range(len(self)))
+
+    def __reversed__(self) -> Iterator[TraceRow]:
+        # the sign sum before the last scoop is the final one less its sign
+        signs = self.signs
+        sums = accumulate(reversed(signs), int.__sub__, initial=sum(signs))
+        return map(_row, range(len(self), 0, -1), reversed(signs), sums,
+                   reversed(self.stuff2_plus), reversed(self.stuff2_minus))
+
+    def index(self, value: object, start: int = 0, stop: Optional[int] = None) -> int:
+        k = range(len(self))[start:stop]
+        for j, row in zip(k, self._rows(k)):
+            if row == value:
+                return j
+        raise ValueError(f"{value!r} is not in the trace")
 
     @property
     def rows(self) -> "SimulationTrace":
@@ -115,6 +141,16 @@ class SimulationTrace(Sequence[TraceRow]):
     @property
     def final(self) -> TraceRow:
         return self[-1]
+
+
+def _settled_column(head: array, total: float, n: int) -> array:
+    """``head`` continued to n scoops by its settled ``total``, allocated at
+    full length once."""
+    if len(head) == n:
+        return head
+    column = array("d", (total,)) * n
+    column[: len(head)] = head
+    return column
 
 
 def simulate(q: float, signs: Signs) -> SimulationTrace:
@@ -129,7 +165,7 @@ def simulate(q: float, signs: Signs) -> SimulationTrace:
     plates keep their totals to the end, and the rest of each column
     repeats them. Both plates are tested, since a plate at 0.0 absorbs any
     delivery that has not underflowed. The trace keeps the checked signs
-    themselves as its sign column.
+    themselves as its sign column, from which it derives the sign sums.
     """
     require_unit_open(q)
     sign_tuple = as_signs(signs)
@@ -150,11 +186,9 @@ def simulate(q: float, signs: Signs) -> SimulationTrace:
             minus2 += delivered2
         stuff2_plus.append(plus2)
         stuff2_minus.append(minus2)
-    rest = len(sign_tuple) - len(stuff2_plus)
-    stuff2_plus += array("d", (plus2,)) * rest
-    stuff2_minus += array("d", (minus2,)) * rest
-    imbalance1 = array("q", accumulate(sign_tuple))
-    return SimulationTrace(q, sign_tuple, imbalance1, stuff2_plus, stuff2_minus)
+    n = len(sign_tuple)
+    return SimulationTrace(q, sign_tuple, _settled_column(stuff2_plus, plus2, n),
+                           _settled_column(stuff2_minus, minus2, n))
 
 
 class Verdict(enum.Enum):
@@ -244,10 +278,18 @@ def fairness_report(
     n = len(trace)
     if not n:
         raise InputError("cannot report on an empty trace")
-    max_abs1 = max(max(trace.imbalance1), -min(trace.imbalance1))
+    # The sign sums are read in chunks of 4096, each as a set: a walk
+    # revisits few levels, so max and min scan little, and a chunk holds at
+    # most 4096 ints however far the walk goes.
+    sums = accumulate(trace.signs)
+    hi = lo = 0
+    while chunk := set(islice(sums, 4096)):
+        hi = max(hi, max(chunk))
+        lo = min(lo, min(chunk))
+    max_abs1 = max(hi, -lo)
     plus, minus = trace.stuff2_plus, trace.stuff2_minus
     final2 = plus[-1] - minus[-1]
-    if 2 * abs(trace.imbalance1[-1]) >= n:
+    if 2 * abs(sum(trace.signs)) >= n:
         verdict = Verdict.DIVERGING
     elif envelope is None or imbalance1_cap is None or max_abs1 > imbalance1_cap:
         verdict = Verdict.INCONCLUSIVE
@@ -350,6 +392,6 @@ def write_trace_csv(trace: SimulationTrace, stream: IO[str]) -> None:
         (k, s, (k + d) // 2, (k - d) // 2, f"{plus2:.15g}", f"{minus2:.15g}", d,
          f"{plus2 - minus2:.15g}")
         for k, s, d, plus2, minus2 in zip(
-            count(1), trace.signs, trace.imbalance1, trace.stuff2_plus, trace.stuff2_minus
+            count(1), trace.signs, accumulate(trace.signs), trace.stuff2_plus, trace.stuff2_minus
         )
     )

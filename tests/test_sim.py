@@ -84,7 +84,7 @@ def test_simulate_refuses_an_empty_division():
     for empty in ("", (), []):
         with pytest.raises(InputError, match="cannot simulate an empty sign sequence"):
             simulate(0.5, empty)
-    empty_trace = SimulationTrace(0.5, (), array("q"), array("d"), array("d"))
+    empty_trace = SimulationTrace(0.5, (), array("d"), array("d"))
     with pytest.raises(InputError, match="cannot report on an empty trace"):
         fairness_report(empty_trace)
 
@@ -154,7 +154,7 @@ def test_simulate_conservation_property(q, signs, data):
 
 
 def test_simulate_peak_memory_is_columnar():
-    # 10^5 scoops: three 8-byte columns plus the sign tuple, not one object
+    # 10^5 scoops: two 8-byte columns plus the sign tuple, not one object
     # per scoop (the row-per-scoop trace peaked at about 30 MiB); at
     # q = 1 - 1e-7 the plates never settle and every scoop runs the loop
     signs = tuple(geometric_fair_division(0.75, 100_000).signs)
@@ -169,9 +169,28 @@ def test_simulate_peak_memory_is_columnar():
         assert peak <= 5 * 2**20, (q, peak / 2**20)
 
 
+@pytest.mark.parametrize("q", [0.62, 0.75, 1 - 1e-7])
+def test_simulate_allocates_each_plate_column_once(q):
+    # with the settled tail filled in place, the peak is what the trace
+    # keeps plus the scoops run before the plates settle
+    if q < INV_SQRT2:
+        seq = construct_bounded(q, 100_000).seq
+    else:
+        seq = geometric_fair_division(0.75, 100_000)
+    tracemalloc.start()
+    try:
+        trace = simulate(q, seq)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.signs is seq
+    assert peak <= retained + 64 * 2**10, (retained / 2**20, peak / 2**20)
+
+
 def whole_loop_columns(q, signs):
-    """simulate's columns from one loop over every scoop, without the
-    settled plates' early stop: the reference for bit identity."""
+    """The sign sums and simulate's plate columns from one loop over every
+    scoop, without the settled plates' early stop: the reference for bit
+    identity."""
     imbalance1, stuff2_plus, stuff2_minus = array("q"), array("d"), array("d")
     d = 0
     plus2 = minus2 = 0.0
@@ -198,7 +217,8 @@ def test_simulate_is_bit_identical_to_the_whole_loop(settle_q, sign_cases):
         full = [column.tobytes() for column in whole_loop_columns(q, signs)]
         for m in (1, 2, 3, rng.randint(4, 200), rng.randint(201, n), n):
             trace = simulate(q, signs[:m])
-            columns = (trace.imbalance1, trace.stuff2_plus, trace.stuff2_minus)
+            sums = array("q", (row.imbalance1 for row in trace))
+            columns = (sums, trace.stuff2_plus, trace.stuff2_minus)
             assert [c.tobytes() for c in columns] == [b[: 8 * m] for b in full], (kind, m)
 
 
@@ -210,15 +230,73 @@ def test_trace_is_its_own_row_sequence():
 
 
 def test_trace_slices_and_index_bounds():
-    trace = simulate(0.5, "+-+-")
+    signs = tuple(random.Random(3).choices((1, -1), k=300))
+    trace = simulate(0.6, signs)
     rows = list(trace)
-    assert trace[1:3] == rows[1:3]
-    assert trace[-3:] == rows[-3:]
-    assert trace[::-2] == rows[::-2]
-    assert trace[5:] == []
-    for bad in (4, -5):
+    n = len(rows)
+    assert list(reversed(trace)) == rows[::-1]
+    for i in range(-n, n):
+        assert trace[i] == rows[i]
+    for start in (None, -n - 5, -n, -7, -1, 0, 1, 150, n - 1, n, n + 5):
+        for stop in (None, -n - 5, -n, -7, -1, 0, 1, 150, n - 1, n, n + 5):
+            for step in (None, 1, 2, 7, -1, -2, -7, n, -n, n + 1):
+                assert trace[start:stop:step] == rows[start:stop:step], (start, stop, step)
+    for i in (0, 1, 150, n - 1):
+        assert trace.index(rows[i]) == rows.index(rows[i]) == i
+        for start, stop in ((0, n), (i, i + 1), (-n - 5, n + 5), (i - n, n), (0, i + 1 - n or n)):
+            assert trace.index(rows[i], start, stop) == rows.index(rows[i], start, stop) == i
+        for start, stop in ((i + 1, n), (0, i), (i + 1 - n or n, n), (-n, i - n)):
+            for sequence in (trace, rows):
+                with pytest.raises(ValueError):
+                    sequence.index(rows[i], start, stop)
+    with pytest.raises(ValueError):
+        trace.index(rows[0]._replace(imbalance1=2))
+    assert trace.count(rows[7]) == 1 and rows[8] in trace
+    for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             trace[bad]
+
+
+class CountingSigns(tuple):
+    """A sign tuple that counts the signs read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for s in tuple.__iter__(self):
+            self.reads += 1
+            yield s
+
+    def __reversed__(self):
+        for i in range(len(self) - 1, -1, -1):
+            self.reads += 1
+            yield tuple.__getitem__(self, i)
+
+    def __getitem__(self, i):
+        item = tuple.__getitem__(self, i)
+        self.reads += len(item) if isinstance(i, slice) else 1
+        return item
+
+
+@pytest.mark.parametrize("read", [
+    list,
+    lambda trace: list(reversed(trace)),
+    lambda trace: trace[:],
+    lambda trace: trace[::-1],
+    lambda trace: trace[-2::-3],
+    lambda trace: pytest.raises(ValueError, trace.index, None),
+    lambda trace: trace[-1],
+], ids=["iter", "reversed", "slice", "reversed slice", "stepped slice", "index miss", "last row"])
+def test_trace_reads_make_one_pass(read):
+    # each read takes at most three passes over the signs (the sum, the
+    # sign column and the sign sums); reading row by row through trace[k]
+    # would take about n^2 / 2 reads
+    signs = tuple(random.Random(4).choices((1, -1), k=2_000))
+    columns = simulate(0.6, signs)
+    counting = CountingSigns(signs)
+    trace = SimulationTrace(0.6, counting, columns.stuff2_plus, columns.stuff2_minus)
+    read(trace)
+    assert counting.reads <= 3 * len(signs), counting.reads
 
 
 def test_simulate_keeps_a_full_length_pattern():
@@ -238,6 +316,37 @@ def test_fairness_report_peak_memory():
     finally:
         tracemalloc.stop()
     assert report.verdict is Verdict.BOUNDED_FAIR_OBSERVED
+    assert peak <= 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("signs", [
+    (1,) * 5_000,
+    (1, -1) * 100 + (1,) * 300 + (-1, 1) * 100,
+    (1,) * 50 + (-1,) * 400 + (1,) * 350,
+    (1,) * 4_097 + (-1,) * 4_097,
+    (-1,) * 4_096 + (1,) * 8_000,
+    tuple(random.Random(6).choices((1, -1), k=30_000)),
+], ids=["all plus", "past the small-int cache", "negative extremum", "peak after a chunk",
+        "trough ends a chunk", "random walk"])
+def test_fairness_report_max_sign_sum_is_every_row(signs):
+    trace = simulate(0.7, signs)
+    report = fairness_report(trace)
+    assert report.max_abs_imbalance1 == max(abs(row.imbalance1) for row in trace)
+    assert report == walk_every_scoop_report(trace)
+
+
+def test_fairness_report_transient_does_not_grow_with_the_walk():
+    # every sign sum of an all-'+' walk is a new int beyond the small-int
+    # cache; holding one of each would take several MiB
+    trace = simulate(0.7, (1,) * 100_000)
+    tracemalloc.start()
+    try:
+        report = fairness_report(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.max_abs_imbalance1 == 100_000 == max(abs(row.imbalance1) for row in trace)
+    assert report.verdict is Verdict.DIVERGING
     assert peak <= 2**20, peak / 2**20
 
 
@@ -298,7 +407,8 @@ def walk_every_scoop_report(trace, envelope=None, imbalance1_cap=None):
     """fairness_report with one envelope walk over every scoop, whatever
     the divergence test or the cap say: the reference for its early stops."""
     n = len(trace)
-    max_abs1 = max(max(trace.imbalance1), -min(trace.imbalance1))
+    sums = [row.imbalance1 for row in trace]
+    max_abs1 = max(max(sums), -min(sums))
     final2 = trace.stuff2_plus[-1] - trace.stuff2_minus[-1]
     checked = 0
     enveloped_ok = True
@@ -310,7 +420,7 @@ def walk_every_scoop_report(trace, envelope=None, imbalance1_cap=None):
                 budget = k * TRACE_TOL_PER_SCOOP
                 imbalance2 = trace.stuff2_plus[k - 1] - trace.stuff2_minus[k - 1]
                 enveloped_ok = enveloped_ok and abs(imbalance2) <= bound + budget
-    if 2 * abs(trace.imbalance1[-1]) >= n:
+    if 2 * abs(sums[-1]) >= n:
         verdict = Verdict.DIVERGING
     elif checked and enveloped_ok and imbalance1_cap is not None and max_abs1 <= imbalance1_cap:
         verdict = Verdict.BOUNDED_FAIR_OBSERVED
@@ -377,7 +487,7 @@ def test_fairness_report_matches_a_walk_over_every_scoop(trace, data):
         for k in sorted(enveloped)
     }
     envelope = data.draw(st.sampled_from((None, bounds.get)), label="envelope")
-    max_abs1 = max(map(abs, trace.imbalance1))
+    max_abs1 = max(abs(row.imbalance1) for row in trace)
     cap = data.draw(st.none() | st.integers(0, 3) | st.just(max_abs1), label="cap")
     assert fairness_report(trace, envelope, cap) == walk_every_scoop_report(trace, envelope, cap)
 
