@@ -13,7 +13,8 @@ There is one sign type, :class:`PMPattern`, for balanced sequences: the
 periodic patterns, and the divisions that the greedy pairing and the block
 construction build. It is a tuple of +1/-1 that checks its balance when
 built. Any other finite division is a plain tuple of +1/-1; :func:`as_signs`
-accepts either, or a '+'/'-' string, and returns a pattern as it is.
+accepts either, or a '+'/'-' string, and returns a pattern, or a tuple of
+int +1/-1, as it is.
 
 Patterns are written as strings of '+' and '-' with the leftmost character
 at exponent 1, e.g. "+---++". The Unicode minus sign is accepted on input;
@@ -83,11 +84,14 @@ def signs_to_text(signs: Iterable[int]) -> str:
 
 
 def _validated_signs(signs: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(s) for s in signs)
-    for pos, s in enumerate(out):
+    """The signs as a tuple of int +1/-1, each checked as given, so 1.5 or
+    '1' is refused rather than truncated or parsed. True and 1.0 equal 1
+    and are accepted, stored as int; a tuple of ints is returned as it is."""
+    signs = tuple(signs)
+    for pos, s in enumerate(signs):
         if s not in (1, -1):
-            raise InputError(f"sign at position {pos} must be +1 or -1, got {s}")
-    return out
+            raise InputError(f"sign at position {pos} must be +1 or -1, got {s!r}")
+    return signs if {*map(type, signs)} <= {int} else tuple(map(int, signs))
 
 
 class PMPattern(tuple):

@@ -68,7 +68,10 @@ class RootReport(NamedTuple):
 def enumerate_balanced(n: int) -> Iterator[PMPattern]:
     """Yield all balanced patterns of degree n in lexicographic order ('+' < '-').
 
-    There are C(n, n/2) of them for even n and none for odd n.
+    There are C(n, n/2) of them for even n and none for odd n. No search
+    here calls it, but it stays: the tests use it as the reference
+    enumeration, and a traced benchmark run (``soupbench/run.py --trace 1``)
+    looks up its span by name.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"degree must be a positive integer, got {n!r}")

@@ -8,13 +8,13 @@ residual sum_{i<=k} s_i q^i with factor (1-q)/q; the simulator computes the
 deliveries independently so that identity can be verified rather than
 assumed.
 
-A trace (:class:`SimulationTrace`) is the read-only sequence of its rows,
-stored by column: the signs, and after every scoop the surface stuff on
-each plate, in two stdlib arrays of 8 bytes per scoop each. The other
-fields of the CSV schema follow from these, the whole-scoop imbalance
-being the running sign sum, so a :class:`TraceRow` is built only when one
-is read; a 10^5-scoop trace takes about 1.5 MiB instead of one object per
-scoop. The deliveries themselves (one dissolved unit, and
+A trace (:class:`SimulationTrace`) holds its rows by column: the signs,
+and after every scoop the surface stuff on each plate, in two stdlib
+arrays of 8 bytes per scoop each. The other fields of the CSV schema
+follow from these, the whole-scoop imbalance being the running sign sum,
+so a :class:`TraceRow` is built only when one is read, by iteration or by
+an integer index; a 10^5-scoop trace takes about 1.5 MiB instead of one
+object per scoop. The deliveries themselves (one dissolved unit, and
 (1-q) * q^(i-1)) are not stored.
 
 The plate columns are computed scoop by scoop only until they settle: the
@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import operator
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, count, islice
-from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import IO, Callable, Iterator, NamedTuple, Optional
 
 from .approx import Q_INF, Certificate, FairDivisionPlan, auto_certificate
 from .core import (
@@ -76,17 +77,20 @@ def _row(k: int, s: int, d: int, plus2: float, minus2: float) -> TraceRow:
     return TraceRow(k, s, (k + d) // 2, (k - d) // 2, plus2, minus2, d, plus2 - minus2)
 
 
-class SimulationTrace(Sequence[TraceRow]):
-    """A simulated run: a read-only sequence of :class:`TraceRow`, one per
-    scoop, stored by column. After scoop k (1-based) the surface stuff on
-    the plates is ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``, and the
-    whole-scoop imbalance is the sum of the first k signs. Every other row
-    field follows from these, so a row is built only when it is read.
+class SimulationTrace:
+    """A simulated run, stored by column, whose rows are :class:`TraceRow`,
+    one per scoop. After scoop k (1-based) the surface stuff on the plates
+    is ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``, and the whole-scoop
+    imbalance is the sum of the first k signs. Every other row field
+    follows from these, so a row is built only when it is read.
 
-    Reading ``trace[k]`` sums k + 1 signs. Iteration, ``reversed``, slices
-    and ``index`` each make one pass over the signs, so none is quadratic."""
+    The reads are ``len``, iteration, which makes one pass over the
+    columns, and ``trace[k]`` for an integer k (negative from the end),
+    which sums k + 1 signs. Slices and ``reversed`` raise TypeError rather
+    than build the rows one ``trace[k]`` at a time."""
 
     __slots__ = ("q", "signs", "stuff2_plus", "stuff2_minus")
+    __reversed__ = None
 
     def __init__(self, q: float, signs: tuple[int, ...], stuff2_plus: array,
                  stuff2_minus: array) -> None:
@@ -98,44 +102,18 @@ class SimulationTrace(Sequence[TraceRow]):
     def __len__(self) -> int:
         return len(self.signs)
 
-    def _rows(self, k: range) -> Iterator[TraceRow]:
-        """The rows at the ascending indices ``k``, from one pass over the
-        columns up to the last of them."""
-        columns = (self.signs, accumulate(self.signs), self.stuff2_plus, self.stuff2_minus)
-        return map(_row, count(k.start + 1, k.step),
-                   *(islice(column, k.start, k.stop, k.step) for column in columns))
-
-    def __getitem__(self, i: Union[int, slice]) -> Union[TraceRow, list[TraceRow]]:
-        k = range(len(self))[i]
-        if isinstance(k, range):
-            if k.step > 0:
-                return list(self._rows(k))
-            rows = list(self._rows(k[::-1]))
-            rows.reverse()
-            return rows
+    def __getitem__(self, i: int) -> TraceRow:
+        k = range(len(self))[operator.index(i)]
         return _row(k + 1, self.signs[k], sum(islice(self.signs, k + 1)), self.stuff2_plus[k],
                     self.stuff2_minus[k])
 
     def __iter__(self) -> Iterator[TraceRow]:
-        return self._rows(range(len(self)))
-
-    def __reversed__(self) -> Iterator[TraceRow]:
-        # the sign sum before the last scoop is the final one less its sign
         signs = self.signs
-        sums = accumulate(reversed(signs), int.__sub__, initial=sum(signs))
-        return map(_row, range(len(self), 0, -1), reversed(signs), sums,
-                   reversed(self.stuff2_plus), reversed(self.stuff2_minus))
-
-    def index(self, value: object, start: int = 0, stop: Optional[int] = None) -> int:
-        k = range(len(self))[start:stop]
-        for j, row in zip(k, self._rows(k)):
-            if row == value:
-                return j
-        raise ValueError(f"{value!r} is not in the trace")
+        return map(_row, count(1), signs, accumulate(signs), self.stuff2_plus, self.stuff2_minus)
 
     @property
     def rows(self) -> "SimulationTrace":
-        """The trace itself, which is its own row sequence."""
+        """The trace itself, which iterates over its rows."""
         return self
 
     @property
@@ -165,7 +143,8 @@ def simulate(q: float, signs: Signs) -> SimulationTrace:
     plates keep their totals to the end, and the rest of each column
     repeats them. Both plates are tested, since a plate at 0.0 absorbs any
     delivery that has not underflowed. The trace keeps the checked signs
-    themselves as its sign column, from which it derives the sign sums.
+    as its sign column, from which it derives the sign sums: the given
+    object itself when it is a ``PMPattern`` or a tuple of int +1/-1.
     """
     require_unit_open(q)
     sign_tuple = as_signs(signs)

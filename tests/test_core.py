@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import re
 import tracemalloc
 import types
 from array import array
@@ -24,6 +25,7 @@ from soupdiv import (
     pattern_roots,
     prefix_diagnostics,
     signs_to_text,
+    simulate,
 )
 from soupdiv.core import bisect_root
 
@@ -229,6 +231,40 @@ def test_sign_parsing_rejects_junk():
         PMPattern((1, 2))
     with pytest.raises(InputError):
         as_signs([1, 0, -1])
+
+
+@pytest.mark.parametrize("call", [
+    as_signs,
+    PMPattern,
+    lambda signs: simulate(0.6, signs),
+    lambda signs: prefix_diagnostics(signs, 0.6),
+    lambda signs: eval_pm(signs, 0.6),
+], ids=["as_signs", "PMPattern", "simulate", "prefix_diagnostics", "eval_pm"])
+@pytest.mark.parametrize("signs, pos", [
+    ([1.5, -1.7], 0),
+    ([1.5, -1.5], 0),
+    ([1.9, -1.2], 0),
+    (["1", "-1"], 0),
+    ([0.5, -1], 0),
+    ([None, -1], 0),
+    (["+", "-"], 0),
+    ([math.nan, -1], 0),
+    ([1, -1.5], 1),
+])
+def test_signs_are_checked_as_given(call, signs, pos):
+    # a value is refused, never truncated or parsed, with its position
+    message = f"sign at position {pos} must be +1 or -1, got {signs[pos]!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        call(signs)
+
+
+def test_signs_equal_to_one_are_kept_as_ints():
+    # True and 1.0 equal 1, so they pass and are stored as int
+    signs = as_signs([True, -1.0, 1, -1])
+    assert signs == (1, -1, 1, -1)
+    assert all(type(s) is int for s in signs)
+    plain = (1, -1, -1, 1)
+    assert as_signs(plain) is plain
 
 
 def test_eval_accepts_all_sign_forms():
