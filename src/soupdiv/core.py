@@ -43,6 +43,7 @@ the rest of the column is r repeated, the same bits the full loop stores.
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Sequence, Union
 
@@ -144,7 +145,7 @@ class PMPattern(tuple):
     def negated(self) -> "PMPattern":
         """The plate-swapped pattern (every sign flipped), which is balanced
         whenever this one is, so it skips re-validation."""
-        return PMPattern._trusted(-s for s in self)
+        return PMPattern._trusted(map(operator.neg, self))
 
     def __repr__(self) -> str:
         return f"PMPattern(signs={tuple.__repr__(self)})"

@@ -25,7 +25,8 @@ degrees above :data:`MAX_SEARCH_DEGREE` up front. Each pattern is packed
 into one integer whose base-2^(n+1) digits are its Descartes coefficients
 (:func:`_packing`), and one AND with a mask decides whether Descartes'
 rule allows a root in (0, 1); only the patterns that pass go to
-:func:`pattern_roots`, about one in five at degree 8.
+:func:`pattern_roots`, about one in five at degree 8, with the count of
+sign changes read from the same digits.
 
 The open-window branch of ``sim.classify`` asks a narrower question: which
 is the first balanced pattern that changes sign on a short window around q?
@@ -39,14 +40,15 @@ evaluate 1,274 patterns. It refuses degrees above
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from functools import cache
+from itertools import accumulate, combinations, repeat
 from typing import Iterator, NamedTuple, Optional
 
 from .core import TOL, DomainError, InputError, PMPattern, as_signs, eval_pm
 from .poly import unit_interval_roots
 
 # Largest degree min_period_search screens: 66,196 balanced patterns
-# through degree 18 (0.7 s, or 1.2 s for `periodic-search` with its JSON
+# through degree 18 (0.45 s, or 1.0 s for `periodic-search` with its JSON
 # output, on one Xeon core with Python 3.11), 250,952 through 20.
 MAX_SEARCH_DEGREE = 18
 
@@ -192,14 +194,15 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
     return None
 
 
-def pattern_roots(pattern: PMPattern) -> RootReport:
+def pattern_roots(pattern: PMPattern, *, changes: Optional[int] = None) -> RootReport:
     """Locate roots of ``pattern`` in (0, 1) by exact isolation plus bisection.
 
     Divides the pattern by x and by (1-x) as often as it vanishes at 1,
     which leaves an integer cofactor nonzero at both ends, isolates the
     cofactor's roots in (0, 1), with one Descartes count for most
     cofactors, and bisects each to width <= ``core.TOL`` on an exact sign
-    that a float Horner value gives wherever its error bound allows.
+    that a float Horner value gives wherever its error bound allows; a
+    caller that knows that count passes it as ``changes`` (2 for more).
     Every root is reported once, in increasing order: the isolating
     intervals are disjoint and lie in (0, 1), and no root is dyadic, so each
     bisected root lies strictly inside its own interval. An empty root list
@@ -210,7 +213,7 @@ def pattern_roots(pattern: PMPattern) -> RootReport:
         raise InputError("cannot find roots of an empty sign sequence")
     while sum(cofactor) == 0:  # divide by (1 - x): prefix sums
         cofactor = list(accumulate(cofactor))[:-1]
-    return RootReport(pattern=pattern, roots=tuple(unit_interval_roots(cofactor)))
+    return RootReport(pattern=pattern, roots=tuple(unit_interval_roots(cofactor, changes)))
 
 
 def min_period_search(max_N: int) -> dict[int, list[RootReport]]:
@@ -229,7 +232,7 @@ def min_period_search(max_N: int) -> dict[int, list[RootReport]]:
     admitted).
     """
     if not isinstance(max_N, int) or max_N < 2:
-        raise InputError(f"max_N must be an integer of at least 2, got {max_N!r}")
+        raise InputError(f"periodic search degree {max_N!r} must be an integer of at least 2")
     if max_N // 2 * 2 > MAX_SEARCH_DEGREE:
         raise InputError(
             f"periodic search degree {max_N} exceeds the cap of "
@@ -244,7 +247,8 @@ def min_period_search(max_N: int) -> dict[int, list[RootReport]]:
     return results
 
 
-def _packing(n: int) -> tuple[list[int], int]:
+@cache
+def _packing(n: int) -> tuple[tuple[int, ...], int]:
     """Kronecker packing of the degree-n patterns for Descartes' rule.
 
     The pattern divided by x is R(x) = sum_i s_i x^i, i < n. Returns the
@@ -254,41 +258,59 @@ def _packing(n: int) -> tuple[list[int], int]:
     coefficients T_j = sum_i s_i C(n-1-i, j) of (1+t)^(n-1) R(1/(1+t)), and
     |T_j| <= C(n, j+1) < 2^(w-1), so no digit overflows (Kronecker
     substitution; von zur Gathen and Gerhard, "Fast algorithms for Taylor
-    shifts", ISSAC 1997). For a pattern that opens with '+', T_(n-1) = +1,
-    so the T_j change sign exactly when one is negative, and then the lowest
-    negative digit borrows and sets its top bit: ``V & high == 0`` holds
-    exactly when Descartes' rule counts no root in (0, 1). With
+    shifts", ISSAC 1997). Adding ``high`` biases every digit into
+    (0, 2^w) with no carry, and its top bit is then clear exactly when
+    T_j < 0. For a pattern that opens with '+', T_(n-1) = +1, so the T_j
+    change sign exactly when one is negative: ``(V + high) & high == high``
+    holds exactly when Descartes' rule counts no root in (0, 1). With
     R = (1-x)^m Q the T_j are those of the cofactor Q shifted by m places,
-    so this is the test that :func:`pattern_roots` makes first on Q.
+    so their sign changes are the count :func:`pattern_roots` makes on Q.
+    Built once per degree.
     """
     w = n + 1
     y = (1 << w) + 1
-    powers = [y ** (n - 1 - i) for i in range(n)]
+    powers = tuple(y ** (n - 1 - i) for i in range(n))
     high = sum(1 << (w * j + w - 1) for j in range(n))
     return powers, high
+
+
+def _digit_changes(biased: int, n: int) -> int:
+    """Sign changes, up to 2, of the digits T_j of a packed pattern that
+    opens with '+', from its biased value V + ``high`` (:func:`_packing`).
+
+    A biased digit b = T_j + 2^n has its top bit clear exactly when
+    T_j < 0, and b - 1 (no borrow, as b >= 1) has it set exactly when
+    T_j > 0. The top digit T_(n-1) is +1, so the T_j change sign once
+    exactly when every negative digit lies below every positive one.
+    """
+    high = _packing(n)[1]
+    negative, positive = high & ~biased, high & (biased - (high >> n))
+    return 0 if not negative else 1 if negative < positive & -positive else 2
 
 
 def _screened_hits(n: int) -> list[RootReport]:
     """Reports with roots of the degree-n balanced patterns that open with
     '+', in lexicographic order: the first half of :func:`enumerate_balanced`.
 
-    Each pattern's packed value (:func:`_packing`) is the value of '+-...-'
-    plus twice the powers at its other '+' positions, summed over index
-    combinations in lexicographic order; only the patterns whose value
-    fails the no-root test reach :func:`pattern_roots`.
+    Each pattern's biased value V + ``high`` (:func:`_packing`) is that of
+    '+-...-' plus twice the powers at its other '+' positions, summed over
+    index combinations in lexicographic order; only the patterns whose
+    value fails the no-root test reach :func:`pattern_roots`, with the
+    count of their digits' sign changes.
     """
     powers, high = _packing(n)
-    base = powers[0] - sum(powers[1:])  # '+' first, '-' elsewhere
+    base = powers[0] - sum(powers[1:]) + high  # '+' first, '-' elsewhere
     doubled = [2 * power for power in powers[1:]]  # turning a '-' into a '+'
     half = n // 2 - 1
     hits: list[RootReport] = []
-    for plus, rise in zip(combinations(range(1, n), half), map(sum, combinations(doubled, half))):
-        if (base + rise) & high:
+    biased_values = map(sum, combinations(doubled, half), repeat(base))
+    for plus, biased in zip(combinations(range(1, n), half), biased_values):
+        if biased & high != high:
             signs = [-1] * n
             signs[0] = 1
             for pos in plus:
                 signs[pos] = 1
-            report = pattern_roots(PMPattern._trusted(signs))
+            report = pattern_roots(PMPattern._trusted(signs), changes=_digit_changes(biased, n))
             if report.roots:
                 hits.append(report)
     return hits

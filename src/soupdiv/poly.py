@@ -3,19 +3,20 @@ order of power, so [-1, 0, 1] is x^2 - 1, with exact signs and roots.
 
 :func:`exact_sign` trusts a float Horner value only where its error bound
 proves the sign. :func:`unit_interval_roots` screens with one Descartes
-count and splits harder cases by Vincent-Collins-Akritas bisection
-(Collins and Akritas, 1976). Each root is then bisected on the exact sign,
-starting in the dyadic cell where that bisection ends: a safeguarded float
-Newton estimate names the cell, and the exact sign at its two ends accepts
-it or sends the bisection back to the isolating interval. No decision
-depends on float rounding.
+count, which a caller may pass in, and splits harder cases by
+Vincent-Collins-Akritas bisection (Collins and Akritas, 1976). Each root
+is the float that bisection to ``core.TOL`` on the exact sign returns:
+the midpoint of the dyadic cell where it ends. A safeguarded float Newton
+estimate names the cell, and the exact sign at its two ends either
+confirms it, giving its midpoint at once, or sends the bisection back to
+the isolating interval. No decision depends on float rounding.
 """
 
 from __future__ import annotations
 
 import sys
-from math import gcd
-from typing import Callable
+from math import frexp, gcd, ldexp
+from typing import Callable, Optional
 
 from .core import TOL, bisect_root
 
@@ -100,19 +101,27 @@ def exact_sign(q: list[int]) -> Callable[[float], float]:
     bound therefore has the sign of q(x). Larger coefficients always take
     the exact value.
     """
-    if max(map(abs, q)) >= 1 << 53:
+    floats = _horner_filter(q)
+    if floats is None:
         return lambda x: scaled_value(q, x)
+    return lambda x: _filtered_sign(q, *floats, x)
+
+
+def _horner_filter(q: list[int]) -> Optional[tuple[list[float], float]]:
+    """q's float coefficients in descending order and the bound 4 (d+1) u
+    sum|c_i| of :func:`exact_sign`; None unless every |c_i| < 2^53."""
+    if max(map(abs, q)) >= 1 << 53:
+        return None
     coeffs = [float(c) for c in reversed(q)]
-    u = sys.float_info.epsilon / 2
-    bound = 4 * len(q) * u * sum(map(abs, q))
+    return coeffs, 4 * len(q) * (sys.float_info.epsilon / 2) * sum(map(abs, q))
 
-    def sign(x: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc if abs(acc) > bound else scaled_value(q, x)
 
-    return sign
+def _filtered_sign(q: list[int], coeffs: list[float], bound: float, x: float) -> float:
+    """:func:`exact_sign` at x, from :func:`_horner_filter`'s output."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc if abs(acc) > bound else scaled_value(q, x)
 
 
 def isolate(q: list[int]) -> list[tuple[int, int]]:
@@ -140,24 +149,26 @@ def isolate(q: list[int]) -> list[tuple[int, int]]:
     return intervals
 
 
-def unit_interval_roots(q: list[int]) -> list[float]:
+def unit_interval_roots(q: list[int], changes: Optional[int] = None) -> list[float]:
     """Sorted roots in (0, 1) of an integer polynomial with q(0), q(1) != 0
     and no dyadic root in (0, 1).
 
     Each root is reported once whatever its multiplicity. The sign changes
     of (1+x)^d q(1/(1+x)) bound the roots of q in (0, 1), multiplicities
     counted, and share their parity: none means no root, and one means a
-    single simple root, isolated by (0, 1) and bisected on q itself. Only
+    single simple root, isolated by (0, 1) and refined on q itself. Only
     with more changes does isolation run on the squarefree part
-    q / gcd(q, q'), and each root is bisected on that part. Bisection runs
-    to width <= ``core.TOL`` on the exact sign from :func:`exact_sign`,
-    started in its final cell where :func:`_refine` can confirm that cell.
-    Every pattern cofactor meets the precondition: its constant and leading
-    coefficients are +-1, so are those of its squarefree part (Gauss's
-    lemma), and by the rational root theorem its only rational roots are
-    +-1.
+    q / gcd(q, q'), and each root is refined on that part. A caller that
+    knows the count passes it as ``changes`` (2 for any larger count).
+    Each root is the float ``core.bisect_root`` returns on the sign of
+    :func:`exact_sign` at width <= ``core.TOL``, taken in one pass where
+    :func:`_refine` confirms its final cell. Every pattern cofactor meets
+    the precondition: its constant and leading coefficients are +-1, so are
+    those of its squarefree part (Gauss's lemma), and by the rational root
+    theorem its only rational roots are +-1.
     """
-    changes = sign_changes(shift_by_one(q[::-1]))
+    if changes is None:
+        changes = sign_changes(shift_by_one(q[::-1]))
     if changes == 0:
         return []
     if changes == 1:
@@ -165,17 +176,15 @@ def unit_interval_roots(q: list[int]) -> list[float]:
     else:
         q = exact_quotient(q, poly_gcd(q, [i * c for i, c in enumerate(q)][1:]))
         intervals = isolate(q)
-    sign = exact_sign(q)
-    roots = [_refine(q, sign, c / (1 << k), (c + 1) / (1 << k)) for c, k in intervals]
-    return sorted(roots)
+    return sorted(_refine(q, c / (1 << k), (c + 1) / (1 << k)) for c, k in intervals)
 
 
-def _newton_estimate(q: list[int], lo: float, hi: float) -> float:
-    """A float estimate of the one root of q in (lo, hi): Newton steps on
-    the float Horner value and derivative, safeguarded by bisection of a
-    float sign bracket (rtsafe, Press et al., Numerical Recipes, 9.4). Every
+def _newton_estimate(coeffs: list[float], lo: float, hi: float) -> float:
+    """A float estimate of the one root in (lo, hi) of the polynomial with
+    float coefficients ``coeffs`` in descending order: Newton steps on the
+    float Horner value and derivative, safeguarded by bisection of a float
+    sign bracket (rtsafe, Press et al., Numerical Recipes, 9.4). Every
     iterate stays in [lo, hi]. Only a guess: no decision rests on it."""
-    coeffs = [float(c) for c in reversed(q)]
     f_lo = 0.0
     for c in coeffs:
         f_lo = f_lo * lo + c
@@ -202,28 +211,28 @@ def _newton_estimate(q: list[int], lo: float, hi: float) -> float:
     return x
 
 
-def _refine(q: list[int], sign: Callable[[float], float], lo: float, hi: float) -> float:
-    """``bisect_root(sign, lo, hi, TOL)`` for the one root of q in
-    (lo, hi) = (c/2^k, (c+1)/2^k), started in its final cell.
+_CELL = ldexp(1.0, frexp(TOL)[1] - 1)  # the largest power of two <= TOL, 2^-40
 
-    On an exact sign that bisection returns the midpoint of one dyadic
-    cell: the cell of the first halving width <= ``TOL`` that holds the
-    root. No root is dyadic, so no midpoint is zero and every bracket holds
-    the root. :func:`_newton_estimate` names a cell, and the cell is kept
-    when ``sign`` changes between its two ends, which places the root in it
-    because (lo, hi) holds only that root; bisection from the cell then
-    returns the same float. Otherwise, or when the coefficients are no
-    exact floats, bisection starts from (lo, hi).
+
+def _refine(q: list[int], lo: float, hi: float) -> float:
+    """``bisect_root(exact_sign(q), lo, hi, TOL)`` for the one root of q in
+    (lo, hi) = (c/2^k, (c+1)/2^k), in one pass where possible.
+
+    On an exact sign that bisection returns the midpoint of the dyadic
+    cell of width min(hi - lo, ``_CELL``) that holds the root; no root is
+    dyadic, so no midpoint is zero. :func:`_newton_estimate` names a cell,
+    and when the exact sign is nonzero at its two ends and differs, the
+    root lies in it, as (lo, hi) holds only that root, and its midpoint is
+    returned. One set of float coefficients serves the estimate and both
+    signs. Otherwise, or when the coefficients are no exact floats,
+    bisection runs from (lo, hi).
     """
-    width = hi - lo
-    while width > TOL:
-        width *= 0.5
-    if max(map(abs, q)) < 1 << 53:
-        cells = round((hi - lo) / width)
-        x = _newton_estimate(q, lo, hi)
-        a = lo + min(max(int((x - lo) / width), 0), cells - 1) * width
-        b = a + width
-        s_a, s_b = sign(a), sign(b)
+    width = min(hi - lo, _CELL)
+    floats = _horner_filter(q)
+    if floats is not None:
+        x = _newton_estimate(floats[0], lo, hi)
+        a = lo + min(max(int((x - lo) / width), 0), round((hi - lo) / width) - 1) * width
+        s_a, s_b = _filtered_sign(q, *floats, a), _filtered_sign(q, *floats, a + width)
         if s_a and s_b and (s_a < 0.0) != (s_b < 0.0):
-            return bisect_root(sign, a, b, TOL)
-    return bisect_root(sign, lo, hi, TOL)
+            return a + 0.5 * width
+    return bisect_root(exact_sign(q), lo, hi, TOL)

@@ -143,6 +143,16 @@ def test_exponential_searches_refused_up_front(monkeypatch, capsys):
         assert reason in err
 
 
+def test_periodic_search_too_small_degree_exits_two(capsys):
+    for degree in ("1", "0", "-4"):
+        code, out, err = invoke(capsys, "periodic-search", "--max-degree", degree)
+        assert code == 2, degree
+        assert out == ""
+        assert err == (
+            f"soupdiv: error: periodic search degree {degree} must be an integer of at least 2\n"
+        )
+
+
 def test_classify_node_budget_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(periodic, "MAX_MEMBERSHIP_NODES", 40)
     code, out, err = invoke(capsys, "classify", "--q", "0.56")

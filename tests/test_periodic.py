@@ -344,9 +344,9 @@ def test_search_validation():
 def test_search_computes_roots_once_per_negation_pair(monkeypatch):
     calls = []
 
-    def counted(pattern):
+    def counted(pattern, *, changes=None):
         calls.append(pattern)
-        return pattern_roots(pattern)
+        return pattern_roots(pattern, changes=changes)
 
     monkeypatch.setattr(periodic, "pattern_roots", counted)
     results = min_period_search(10)
@@ -391,8 +391,15 @@ def _signed_digits(v, width, count):
     return digits
 
 
+def _descartes_count(signs):
+    """The sign changes of the cofactor's Descartes coefficients, up to 2."""
+    q = _cofactor(signs)
+    return min(poly.sign_changes(poly.shift_by_one(q[::-1])), 2)
+
+
 def test_packed_screen_is_the_descartes_count(monkeypatch):
     checked = 0
+    expected = []
     for n in range(2, 17, 2):
         powers, high = periodic._packing(n)
         for pattern in enumerate_balanced(n):
@@ -404,24 +411,102 @@ def test_packed_screen_is_the_descartes_count(monkeypatch):
             assert _signed_digits(packed, n + 1, n) == shifted, pattern.to_text()
             no_root = poly.sign_changes(shifted) == 0
             assert (packed & high == 0) == no_root, pattern.to_text()
+            # the search's test: the biased digits all keep their top bit
+            assert ((packed + high) & high == high) == no_root, pattern.to_text()
+            # the count decoded from the digits is the cofactor's own
+            count = _descartes_count(pattern)
+            assert periodic._digit_changes(packed + high, n) == count, pattern.to_text()
+            if count:
+                expected.append((pattern, count))
             checked += 1
     assert checked == sum(math.comb(n, n // 2) // 2 for n in range(2, 17, 2))
-    # the search hands exactly the patterns that fail the screen to pattern_roots
+    assert {count for _, count in expected} == {1, 2}
+    # the search hands exactly the patterns that fail the screen to
+    # pattern_roots, each with that count
     calls = []
 
-    def recorded(pattern):
-        calls.append(pattern)
+    def recorded(pattern, *, changes=None):
+        calls.append((pattern, changes))
         return periodic.RootReport(pattern, ())
 
     monkeypatch.setattr(periodic, "pattern_roots", recorded)
     assert all(hits == [] for hits in min_period_search(16).values())
-    expected = [
+    assert [p for p, _ in calls] == [
         p
         for n in range(2, 17, 2)
         for p in enumerate_balanced(n)
         if p[0] == 1 and poly.sign_changes(poly.shift_by_one(list(p)[::-1])) > 0
     ]
     assert calls == expected
+
+
+def test_search_counts_only_multi_change_survivors_by_taylor_shift(monkeypatch):
+    # the screen's count spares every survivor the Taylor shift; only the
+    # Vincent-Collins-Akritas isolation of a 2-or-more-change cofactor
+    # shifts polynomials
+    multi = [
+        p
+        for n in range(2, 13, 2)
+        for p in enumerate_balanced(n)
+        if p[0] == 1 and _descartes_count(p) == 2
+    ]
+    assert len(multi) == 6
+    isolated, outside = [], []
+    shift, isolate = poly.shift_by_one, poly.isolate
+
+    def counted_shift(p):
+        if not isolated or isolated[-1] is None:
+            outside.append(p)
+        return shift(p)
+
+    def recorded_isolate(q):
+        isolated.append(q)
+        intervals = isolate(q)
+        isolated.append(None)
+        return intervals
+
+    monkeypatch.setattr(poly, "shift_by_one", counted_shift)
+    monkeypatch.setattr(poly, "isolate", recorded_isolate)
+    min_period_search(12)
+    assert outside == []
+    assert [q for q in isolated if q is not None] == [
+        _squarefree_part(_cofactor(p)) for p in multi
+    ]
+
+
+def test_single_root_refinement_is_the_bisection(monkeypatch):
+    single = []
+    for n in range(2, 17, 2):
+        for pattern in enumerate_balanced(n):
+            q = _cofactor(pattern)
+            if poly.sign_changes(poly.shift_by_one(q[::-1])) == 1:
+                single.append((q, bisect_root(poly.exact_sign(q), 0.0, 1.0, TOL)))
+    assert len(single) == 5506
+    assert max(len(q) - 1 for q, _ in single) == 14
+    for q, expected in single:
+        assert poly.unit_interval_roots(q, 1) == [expected], q
+    # an estimate in the wrong cell falls back to bisection from (0, 1)
+    starts = []
+
+    def recorded(f, lo, hi, tol):
+        starts.append((lo, hi))
+        return bisect_root(f, lo, hi, tol)
+
+    newton = poly._newton_estimate
+    monkeypatch.setattr(poly, "bisect_root", recorded)
+    monkeypatch.setattr(
+        poly, "_newton_estimate", lambda coeffs, lo, hi: newton(coeffs, lo, hi) + 2 * poly._CELL
+    )
+    for q, expected in single[:500]:
+        starts.clear()
+        assert poly.unit_interval_roots(q, 1) == [expected], q
+        assert starts == [(0.0, 1.0)], q
+    # coefficients past the float range never reach the estimate
+    monkeypatch.setattr(poly, "_newton_estimate", None)
+    wide = [-(1 << 53) - 1, 3 << 53]  # one root, (2^53 + 1) / (3 * 2^53)
+    starts.clear()
+    assert poly.unit_interval_roots(wide) == [bisect_root(poly.exact_sign(wide), 0.0, 1.0, TOL)]
+    assert starts == [(0.0, 1.0)]
 
 
 def _isolated(signs):
