@@ -33,9 +33,9 @@ is the first balanced pattern that changes sign on a short window around q?
 :func:`first_bracketed_pattern` answers it by a depth-first search over sign
 prefixes that drops every prefix whose completions all keep one sign on the
 window; at degree 12 it visits about 70 nodes, where enumerating would
-evaluate 1,274 patterns. It refuses degrees above
-:data:`MAX_MEMBERSHIP_DEGREE` up front and stops after
-:data:`MAX_MEMBERSHIP_NODES` visited nodes.
+evaluate 1,274 patterns. It runs as one loop over an explicit stack, which
+leaves no reference cycle, refuses degrees above :data:`MAX_MEMBERSHIP_DEGREE`
+up front and stops after :data:`MAX_MEMBERSHIP_NODES` visited nodes.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ MAX_SEARCH_DEGREE = 18
 
 # Limits of first_bracketed_pattern: the largest degree it searches (its
 # rounding argument assumes at most 64 terms) and the most prefix nodes one
-# call may visit. Over 2,000 seeded q in the open window the worst call
-# visits about 6,200 nodes at degree 64.
+# call may visit. Over 10,000 seeded q in the open window the worst call
+# visits about 7,100 nodes at degree 64.
 MAX_MEMBERSHIP_DEGREE = 64
 MAX_MEMBERSHIP_NODES = 100_000
 
@@ -127,11 +127,13 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
     A pattern counts when ``eval_pm`` at lo and at hi differ in sign or
     either is exactly zero; None means no pattern does. Each degree n is
     searched depth first over sign prefixes, '+' before '-', so the first
-    leaf that passes is the first hit of the enumeration order. A prefix is
-    dropped when the smallest completion exceeds ``core.TOL`` at both ends,
-    or the largest stays below -``core.TOL`` at both (:func:`_excluded`);
-    the extremes come from one table of power sums per window end, built
-    once per call.
+    leaf that passes is the first hit of the enumeration order. It is one
+    loop over an explicit stack, with no nested function to refer to itself,
+    so a call leaves no reference cycle for the cyclic garbage collector. A
+    prefix is dropped when the smallest completion exceeds ``core.TOL`` at
+    both ends, or the largest stays below -``core.TOL`` at both
+    (:func:`_excluded`); the extremes come from one table of power sums per
+    window end, built once per call.
 
     Soundness: for 0 < x <= 2/3 and degree <= 64, the powers, their sums,
     the prefix values and ``eval_pm``'s Horner value each lie within about
@@ -156,41 +158,35 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
         raise DomainError(f"membership window [{lo!r}, {hi!r}] must lie in (0, 2/3]")
     pw_lo, s_lo = _power_table(lo, max_degree)
     pw_hi, s_hi = _power_table(hi, max_degree)
-    signs: list[int] = []
+    signs = [0]  # signs[k] is the sign at exponent k; signs[0] is a placeholder
     visited = 0
-
-    def search(a: int, b: int, p_lo: float, p_hi: float) -> Optional[PMPattern]:
-        nonlocal visited
-        visited += 1
-        if visited > MAX_MEMBERSHIP_NODES:
-            raise InputError(
-                f"membership search up to degree {max_degree} visited more than "
-                f"{MAX_MEMBERSHIP_NODES:,} prefix nodes; choose a smaller degree"
-            )
-        k = len(signs)
-        if _excluded(k, a, b, p_lo, p_hi, s_lo, s_hi):
-            return None
-        if not (a or b):
-            pattern = PMPattern._trusted(signs)
-            f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
-            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
-                return pattern
-            return None
-        hit = None
-        if a:
-            signs.append(1)
-            hit = search(a - 1, b, p_lo + pw_lo[k + 1], p_hi + pw_hi[k + 1])
-            signs.pop()
-        if b and hit is None:
-            signs.append(-1)
-            hit = search(a, b - 1, p_lo - pw_lo[k + 1], p_hi - pw_hi[k + 1])
-            signs.pop()
-        return hit
-
     for n in range(2, max_degree + 1, 2):
-        hit = search(n // 2, n // 2, 0.0, 0.0)
-        if hit is not None:
-            return hit
+        # a node: its last sign (0 at the root), the pluses and minuses left,
+        # and the prefix values at lo and hi; '-' is pushed first, so '+' is
+        # searched first, as the enumeration orders them
+        stack = [(0, n // 2, n // 2, 0.0, 0.0)]
+        while stack:
+            s, a, b, p_lo, p_hi = stack.pop()
+            visited += 1
+            if visited > MAX_MEMBERSHIP_NODES:
+                raise InputError(
+                    f"membership search up to degree {max_degree} visited more than "
+                    f"{MAX_MEMBERSHIP_NODES:,} prefix nodes; choose a smaller degree"
+                )
+            k = n - a - b
+            signs[k:] = (s,)
+            if _excluded(k, a, b, p_lo, p_hi, s_lo, s_hi):
+                continue
+            if not (a or b):
+                pattern = PMPattern._trusted(signs[1:])
+                f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
+                if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
+                    return pattern
+                continue
+            if b:
+                stack.append((-1, a, b - 1, p_lo - pw_lo[k + 1], p_hi - pw_hi[k + 1]))
+            if a:
+                stack.append((1, a - 1, b, p_lo + pw_lo[k + 1], p_hi + pw_hi[k + 1]))
     return None
 
 

@@ -184,7 +184,11 @@ def _newton_estimate(coeffs: list[float], lo: float, hi: float) -> float:
     float coefficients ``coeffs`` in descending order: Newton steps on the
     float Horner value and derivative, safeguarded by bisection of a float
     sign bracket (rtsafe, Press et al., Numerical Recipes, 9.4). Every
-    iterate stays in [lo, hi]. Only a guess: no decision rests on it."""
+    iterate stays in [lo, hi]. It stops after a bisection step of at most
+    ``core.TOL`` or a Newton step of at most 1e-8, whose successor would
+    be about 1e-16 against a 2^-40 cell. Only a guess: the exact signs at
+    the ends of the cell it names confirm it or send :func:`_refine` back
+    to bisection, so no output depends on where it stops."""
     f_lo = 0.0
     for c in coeffs:
         f_lo = f_lo * lo + c
@@ -203,10 +207,11 @@ def _newton_estimate(coeffs: list[float], lo: float, hi: float) -> float:
             hi = x
         step_before, step = step, f / df if df else hi - lo
         # bisect when Newton leaves the bracket, or halves no step in two
-        if not lo <= x - step <= hi or abs(step) > 0.5 * abs(step_before):
+        newton = lo <= x - step <= hi and abs(step) <= 0.5 * abs(step_before)
+        if not newton:
             step = x - 0.5 * (lo + hi)
         x -= step
-        if abs(step) <= TOL:
+        if abs(step) <= (1e-8 if newton else TOL):
             break
     return x
 

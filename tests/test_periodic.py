@@ -312,6 +312,22 @@ def test_bracket_search_validation():
     assert periodic.first_bracketed_pattern(0.56, 0.56 + 1e-9, 2) is None
 
 
+@pytest.mark.parametrize(
+    "q, degree, nodes",
+    [(0.56, 12, 82), (0.55, 10, 47), (0.5436890126916784, 10, 22), (0.57, 12, 90), (0.56, 64, 1896)],
+)
+def test_bracket_search_visits_the_pinned_node_count(monkeypatch, q, degree, nodes):
+    # the counts of the recursive search this one replaced, one per _excluded
+    # call; the smallest budget that lets the search finish is that count
+    lo, hi = q - ROOT_MATCH_WINDOW, q + ROOT_MATCH_WINDOW
+    expected = periodic.first_bracketed_pattern(lo, hi, degree)
+    monkeypatch.setattr(periodic, "MAX_MEMBERSHIP_NODES", nodes)
+    assert periodic.first_bracketed_pattern(lo, hi, degree) == expected
+    monkeypatch.setattr(periodic, "MAX_MEMBERSHIP_NODES", nodes - 1)
+    with pytest.raises(InputError, match=f"visited more than {nodes - 1:,} prefix nodes"):
+        periodic.first_bracketed_pattern(lo, hi, degree)
+
+
 def test_search_below_six_is_empty():
     results = min_period_search(5)
     assert sorted(results) == [1, 2, 3, 4, 5]
@@ -572,6 +588,20 @@ def test_search_16_is_pinned():
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "add80f245b3af38488293d7678b890dab00d890e218ebdca06f0abf018b94057"
+
+
+def test_search_16_needs_no_fallback_bisection(monkeypatch):
+    # every root's Newton estimate names its final cell, so _refine never
+    # bisects from the isolating interval through degree 16
+    fallbacks = []
+
+    def recorded(f, lo, hi, tol):
+        fallbacks.append((lo, hi))
+        return bisect_root(f, lo, hi, tol)
+
+    monkeypatch.setattr(poly, "bisect_root", recorded)
+    min_period_search(16)
+    assert fallbacks == []
 
 
 def test_fair_period_agrees_with_simulation():

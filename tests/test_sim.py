@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import gc
 import io
 import math
 import random
@@ -22,12 +23,14 @@ from soupdiv import (
     PMPattern,
     SimulationTrace,
     Verdict,
+    auto_certificate,
     classify,
     construct_bounded,
     fairness_report,
     enumerate_balanced,
     geometric_fair_division,
     greedy_envelope,
+    min_period_search,
     pattern_roots,
     plan_envelope,
     prefix_diagnostics,
@@ -811,3 +814,51 @@ def test_classify_answers_degree_64():
     f_hi = eval_pm(result.pattern, q + 1e-9)
     assert f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0)
     assert abs(result.root - q) <= 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _divisions():
+    """A greedy and a block division of 2,000 scoops and their traces."""
+    greedy = geometric_fair_division(0.75, 2000)
+    plan = construct_bounded(0.62, 2000)
+    return greedy, simulate(0.75, greedy), plan, simulate(0.62, plan.seq)
+
+
+_PUBLIC_CALLS = {
+    "classify infeasible": lambda: classify(0.4),
+    "classify greedy": lambda: classify(0.75),
+    "classify certificate": lambda: classify(0.62),
+    "classify planted root, degree 10": lambda: classify(0.5436890126916784, search_degree=10),
+    "classify planted root, degree 64": lambda: classify(0.5436890126916784, search_degree=64),
+    "classify unknown, degree 10": lambda: classify(0.55, search_degree=10),
+    "classify hit, degree 64": lambda: classify(0.55, search_degree=64),
+    "min_period_search": lambda: min_period_search(8),
+    "geometric_fair_division": lambda: geometric_fair_division(0.75, 2000),
+    "construct_bounded": lambda: construct_bounded(0.62, 2000),
+    "prefix_diagnostics": lambda: prefix_diagnostics(_divisions()[0], 0.75),
+    "simulate": lambda: simulate(0.75, _divisions()[0]),
+    "fairness_report greedy envelope": lambda: fairness_report(
+        _divisions()[1], greedy_envelope(0.75), 1
+    ),
+    "fairness_report plan envelope": lambda: fairness_report(
+        _divisions()[3], plan_envelope(_divisions()[2]), 2 * _divisions()[2].certificate.N
+    ),
+    "auto_certificate": lambda: auto_certificate(0.62),
+    "q_infinity": lambda: q_infinity(),
+}
+
+
+@pytest.mark.parametrize("name", list(_PUBLIC_CALLS))
+def test_public_calls_leave_no_cyclic_garbage(name):
+    # garbage that only the cyclic collector frees makes some later call pay
+    # for a collection; cli.run is left out, as argparse's parser is cyclic
+    _divisions()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _PUBLIC_CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
