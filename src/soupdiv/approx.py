@@ -42,13 +42,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Union
 
-from .core import TOL, DomainError, InputError, PMPattern, bisect_root, require_unit_open
+from .core import TOL, DomainError, InputError, PMPattern, _horner, bisect_root, require_unit_open
 from .poly import exact_sign
 
 DEFAULT_N_MAX = 64
 
-# Exact sign of the quartic x^4 + x^3 + 2x^2 - 1, and a bracket of its root.
-_QINF_SIGN = exact_sign([-1, 0, 2, 1, 1])
+# The quartic x^4 + x^3 + 2x^2 - 1 by ascending powers, its exact sign,
+# its float coefficients highest power first, and a bracket of its root.
+_QINF_QUARTIC = [-1, 0, 2, 1, 1]
+_QINF_SIGN = exact_sign(_QINF_QUARTIC)
+_QINF_FLOATS = tuple(map(float, reversed(_QINF_QUARTIC)))
 _QINF_BRACKET = (0.5, 0.6)
 
 
@@ -90,9 +93,9 @@ def pn_value(q: float, n: Union[int, float]) -> float:
 
 
 def qinf_poly(x: float) -> float:
-    """The threshold quartic x^4 + x^3 + 2x^2 - 1 in floats, for printed
+    """The threshold quartic in floats (``core._horner``), for printed
     residuals only; its root is decided on the quartic's exact sign."""
-    return ((x + 1.0) * x + 2.0) * x * x - 1.0
+    return _horner(_QINF_FLOATS, x)
 
 
 def q_infinity(tol: float = TOL) -> float:

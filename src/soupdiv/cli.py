@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import Any, Optional, Sequence, Union
 
 from .approx import (
@@ -231,7 +232,9 @@ def _cmd_simulate(args: argparse.Namespace) -> Response:
     return 0, buf.getvalue()
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: a parser per call is cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="soupdiv",
         description="Constructions and numerical checks for fair two-plate scoop divisions.",

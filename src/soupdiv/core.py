@@ -21,8 +21,8 @@ at exponent 1, e.g. "+---++". The Unicode minus sign is accepted on input;
 output always uses the ASCII hyphen.
 
 Arithmetic is double precision, except for the exact integer polynomial
-signs of :mod:`soupdiv.poly`, and every tolerance the package uses is
-declared once, in the policy block below:
+signs of :mod:`soupdiv.poly`; every float polynomial value comes from one
+Horner loop, :func:`_horner`, and every tolerance is declared once, below:
 
 * ``TOL`` -- additive slack at unit scale. A value counts as zero, and an
   inequality between quantities of order one counts as holding, within it.
@@ -32,13 +32,6 @@ declared once, in the policy block below:
   scoops an envelope comparison allows k times this much.
 * ``ROOT_MATCH_WINDOW`` -- half-width of the window around q in which
   ``sim.classify`` looks for a sign change of a balanced pattern.
-
-The residual column of :func:`prefix_diagnostics` is computed scoop by
-scoop only until it settles: after the first scoop k whose power p = q^k
-leaves the residual r unchanged both ways, r + p == r and r - p == r.
-Each later power is the rounded product of the one before and q < 1, so
-it is no larger, and rounding is monotone, so no later sign can move r;
-the rest of the column is r repeated, the same bits the full loop stores.
 """
 
 from __future__ import annotations
@@ -163,16 +156,21 @@ def as_signs(value: Signs) -> tuple[int, ...]:
     return _validated_signs(value)
 
 
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """Horner's rule for ``coeffs``, highest power first, at x; unchecked."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def eval_pm(pattern: Signs, q: float) -> float:
-    """Evaluate sum_{i=1}^{n} signs[i] * q^i by a nested (Horner) scheme."""
+    """Evaluate sum_{i=1}^{n} signs[i] * q^i by Horner's rule (:func:`_horner`)."""
     require_unit_open(q)
     signs = as_signs(pattern)
     if not signs:
         raise InputError("cannot evaluate an empty sign sequence")
-    acc = 0.0
-    for s in signs[::-1]:  # reversed() reads a PMPattern item by item, 2x slower
-        acc = acc * q + s
-    return acc * q
+    return _horner(signs[::-1], q) * q  # reversed() reads a PMPattern item by item, 2x slower
 
 
 def prefix_diagnostics(seq: Signs, q: float) -> tuple[list[int], list[float]]:

@@ -35,7 +35,8 @@ prefixes that drops every prefix whose completions all keep one sign on the
 window; at degree 12 it visits about 70 nodes, where enumerating would
 evaluate 1,274 patterns. It runs as one loop over an explicit stack, which
 leaves no reference cycle, refuses degrees above :data:`MAX_MEMBERSHIP_DEGREE`
-up front and stops after :data:`MAX_MEMBERSHIP_NODES` visited nodes.
+up front and stops after :data:`MAX_MEMBERSHIP_NODES` visited nodes. Leaves
+are tested by the unchecked ``core._horner``; only the hit becomes a pattern.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import cache
 from itertools import accumulate, combinations, repeat
 from typing import Iterator, NamedTuple, Optional
 
-from .core import TOL, DomainError, InputError, PMPattern, as_signs, eval_pm
+from .core import TOL, DomainError, InputError, PMPattern, _horner, as_signs
 from .poly import unit_interval_roots
 
 # Largest degree min_period_search screens: 66,196 balanced patterns
@@ -124,8 +125,11 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
     """First balanced pattern of degree <= max_degree, by degree and then
     lexicographically ('+' < '-'), that changes sign on [lo, hi].
 
-    A pattern counts when ``eval_pm`` at lo and at hi differ in sign or
-    either is exactly zero; None means no pattern does. Each degree n is
+    A pattern counts when its values at lo and at hi differ in sign or
+    either is exactly zero; None means no pattern does. Its value is
+    ``core._horner`` on its signs, the pattern divided by x, which has
+    ``eval_pm``'s signs and zeros: Horner's last step adds +-1, so a nonzero
+    value is at least 2^-53 and cannot underflow times x. Each degree n is
     searched depth first over sign prefixes, '+' before '-', so the first
     leaf that passes is the first hit of the enumeration order. It is one
     loop over an explicit stack, with no nested function to refer to itself,
@@ -136,7 +140,7 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
     window end, built once per call.
 
     Soundness: for 0 < x <= 2/3 and degree <= 64, the powers, their sums,
-    the prefix values and ``eval_pm``'s Horner value each lie within about
+    the prefix values and x times the Horner value each lie within about
     64 * 2^-52 * x/(1-x) <= 3e-14 of their exact values (below 2e-14 in the
     open window), so a bound made of four of them errs by less than 2e-13,
     and with the Horner error still far less than ``core.TOL`` = 1e-12. A
@@ -178,10 +182,10 @@ def first_bracketed_pattern(lo: float, hi: float, max_degree: int) -> Optional[P
             if _excluded(k, a, b, p_lo, p_hi, s_lo, s_hi):
                 continue
             if not (a or b):
-                pattern = PMPattern._trusted(signs[1:])
-                f_lo, f_hi = eval_pm(pattern, lo), eval_pm(pattern, hi)
+                descending = signs[:0:-1]
+                f_lo, f_hi = _horner(descending, lo), _horner(descending, hi)
                 if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
-                    return pattern
+                    return PMPattern._trusted(signs[1:])
                 continue
             if b:
                 stack.append((-1, a, b - 1, p_lo - pw_lo[k + 1], p_hi - pw_hi[k + 1]))

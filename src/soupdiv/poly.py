@@ -1,15 +1,15 @@
 """Exact integer polynomials: lists of ``int`` coefficients in ascending
 order of power, so [-1, 0, 1] is x^2 - 1, with exact signs and roots.
 
-:func:`exact_sign` trusts a float Horner value only where its error bound
-proves the sign. :func:`unit_interval_roots` screens with one Descartes
-count, which a caller may pass in, and splits harder cases by
-Vincent-Collins-Akritas bisection (Collins and Akritas, 1976). Each root
-is the float that bisection to ``core.TOL`` on the exact sign returns:
-the midpoint of the dyadic cell where it ends. A safeguarded float Newton
-estimate names the cell, and the exact sign at its two ends either
-confirms it, giving its midpoint at once, or sends the bisection back to
-the isolating interval. No decision depends on float rounding.
+:func:`exact_sign` trusts a float Horner value (``core._horner``) only
+where its error bound proves the sign. :func:`unit_interval_roots`
+screens with one Descartes count, which a caller may pass in, and splits
+harder cases by Vincent-Collins-Akritas bisection (Collins and Akritas,
+1976). Each root is the float that bisection to ``core.TOL`` on the exact
+sign returns: the midpoint of the dyadic cell where it ends. A safeguarded
+float Newton estimate names the cell, and the exact sign at its two ends
+either confirms it, giving its midpoint at once, or sends the bisection
+back to the isolating interval. No decision depends on float rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from math import frexp, gcd, ldexp
 from typing import Callable, Optional
 
-from .core import TOL, bisect_root
+from .core import TOL, _horner, bisect_root
 
 
 def primitive(p: list[int]) -> list[int]:
@@ -118,10 +118,8 @@ def _horner_filter(q: list[int]) -> Optional[tuple[list[float], float]]:
 
 def _filtered_sign(q: list[int], coeffs: list[float], bound: float, x: float) -> float:
     """:func:`exact_sign` at x, from :func:`_horner_filter`'s output."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc if abs(acc) > bound else scaled_value(q, x)
+    value = _horner(coeffs, x)
+    return value if abs(value) > bound else scaled_value(q, x)
 
 
 def isolate(q: list[int]) -> list[tuple[int, int]]:
@@ -185,13 +183,11 @@ def _newton_estimate(coeffs: list[float], lo: float, hi: float) -> float:
     float Horner value and derivative, safeguarded by bisection of a float
     sign bracket (rtsafe, Press et al., Numerical Recipes, 9.4). Every
     iterate stays in [lo, hi]. It stops after a bisection step of at most
-    ``core.TOL`` or a Newton step of at most 1e-8, whose successor would
-    be about 1e-16 against a 2^-40 cell. Only a guess: the exact signs at
-    the ends of the cell it names confirm it or send :func:`_refine` back
-    to bisection, so no output depends on where it stops."""
-    f_lo = 0.0
-    for c in coeffs:
-        f_lo = f_lo * lo + c
+    ``core.TOL`` or a Newton step of at most ``_NEWTON_STOP``. Only a guess:
+    the exact signs at the ends of the cell it names confirm it or send
+    :func:`_refine` back to bisection, so no output depends on where it
+    stops. Its loop takes value and derivative in one pass."""
+    f_lo = _horner(coeffs, lo)
     x = 0.5 * (lo + hi)
     step = step_before = hi - lo
     for _ in range(64):
@@ -211,12 +207,15 @@ def _newton_estimate(coeffs: list[float], lo: float, hi: float) -> float:
         if not newton:
             step = x - 0.5 * (lo + hi)
         x -= step
-        if abs(step) <= (1e-8 if newton else TOL):
+        if abs(step) <= (_NEWTON_STOP if newton else TOL):
             break
     return x
 
 
 _CELL = ldexp(1.0, frexp(TOL)[1] - 1)  # the largest power of two <= TOL, 2^-40
+# A stopping rule, not a tolerance: the step after one this short would be
+# about 1e-16, far inside a _CELL, and no root depends on it.
+_NEWTON_STOP = 1e-8
 
 
 def _refine(q: list[int], lo: float, hi: float) -> float:

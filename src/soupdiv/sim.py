@@ -37,8 +37,8 @@ which is the first balanced pattern, in order of degree, that changes sign
 within ``core.ROOT_MATCH_WINDOW`` of q? A pruned depth-first search over
 sign prefixes (:func:`periodic.first_bracketed_pattern`) answers it without
 evaluating every pattern and leaves no reference cycle. Only that bracket
-is bisected, by a local Horner loop with ``core.eval_pm``'s float operations
-but not its checks; without one the answer is honestly Unknown.
+is bisected, on ``core._horner`` with ``core.eval_pm``'s signs but not its
+checks; without one the answer is honestly Unknown.
 """
 
 from __future__ import annotations
@@ -48,13 +48,14 @@ import enum
 import operator
 from array import array
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate, count, islice
 from typing import IO, Callable, Iterator, NamedTuple, Optional
 
 from .approx import Q_INF, Certificate, FairDivisionPlan, auto_certificate
 from .core import (
-    ROOT_MATCH_WINDOW, TOL, TRACE_TOL_PER_SCOOP, InputError, Signs, as_signs, bisect_root,
-    geometric_tail, require_unit_open,
+    ROOT_MATCH_WINDOW, TOL, TRACE_TOL_PER_SCOOP, InputError, Signs, _horner, as_signs,
+    bisect_root, geometric_tail, require_unit_open,
 )
 from .greedy import INV_SQRT2, in_greedy_regime
 from .periodic import PMPattern, first_bracketed_pattern
@@ -331,8 +332,8 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     open window the first balanced pattern of degree <= ``search_degree``
     (by degree, then lexicographically) that changes sign on
     q +- ``core.ROOT_MATCH_WINDOW`` is found by
-    :func:`periodic.first_bracketed_pattern`, bisected on the float
-    operations of ``core.eval_pm`` and returned as a periodic match;
+    :func:`periodic.first_bracketed_pattern`, bisected on the signs of
+    ``core.eval_pm`` and returned as a periodic match;
     otherwise the answer is Unknown, which must not be strengthened. There a
     search_degree above :data:`periodic.MAX_MEMBERSHIP_DEGREE` (64) is
     refused before any node is visited, and a search that visits more than
@@ -360,15 +361,7 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     pattern = first_bracketed_pattern(lo, hi, search_degree)
     if pattern is None:
         return FeasibilityClass(kind=FeasibilityKind.UNKNOWN, searched_degree=search_degree)
-    signs = pattern[::-1]
-
-    def value(x: float) -> float:  # eval_pm's float operations without its checks
-        acc = 0.0
-        for s in signs:
-            acc = acc * x + s
-        return acc * x
-
-    root = bisect_root(value, lo, hi, TOL)
+    root = bisect_root(partial(_horner, pattern[::-1]), lo, hi, TOL)
     return FeasibilityClass(kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root)
 
 

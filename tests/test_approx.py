@@ -103,6 +103,15 @@ def test_q_infinity_bracket_signs():
     assert qinf_poly(0.58) < 0.0 < qinf_poly(0.59)
 
 
+def test_qinf_poly_is_the_written_out_quartic():
+    # reference: the quartic by nested multiplication, bit for bit
+    rng = random.Random(39)
+    xs = [0.0, -0.0, 0.5, 0.6, Q_INF, q_infinity()]
+    xs += [rng.uniform(-2.0, 2.0) for _ in range(1000)] + [rng.random() for _ in range(1000)]
+    for x in xs:
+        assert qinf_poly(x).hex() == (((x + 1.0) * x + 2.0) * x * x - 1.0).hex(), x
+
+
 def _exact_quartic(x: float) -> Fraction:
     x = Fraction(x)
     return x**4 + x**3 + 2 * x**2 - 1

@@ -1,5 +1,6 @@
 """Command-line behavior: output schemas, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import math
@@ -421,6 +422,37 @@ def test_domain_errors_exit_two(capsys):
         assert code == 2, argv
         assert out == ""
         assert "q" in err and bad in err, err
+
+
+_TEXT_RUNS = {
+    "qinf": (["qinf"], 0),
+    "classify": (["classify", "--q", "0.5436890126916784", "--format", "text"], 0),
+    "greedy": (["greedy", "--q", "0.75", "--scoops", "40", "--format", "text"], 0),
+    "construct": (["construct", "--q", "0.62", "--scoops", "40", "--format", "text"], 0),
+    "certify": (["certify", "--q", "0.62", "--format", "text"], 0),
+    "periodic-search": (["periodic-search", "--max-degree", "8", "--format", "text"], 0),
+    "simulate": (["simulate", "--q", "0.75", "--signs", "+--+"], 0),
+    "domain error": (["classify", "--q", "1.5", "--format", "text"], 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_TEXT_RUNS))
+def test_run_leaves_no_cyclic_garbage(capsys, name):
+    # the parser is built once per process, so after a first call a run
+    # leaves nothing for the cyclic collector; JSON output (the encoder's
+    # closures) and usage errors still do, and are not checked here
+    argv, expected_code = _TEXT_RUNS[name]
+    run(argv)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert run(argv) == expected_code
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_usage_errors_exit_two(capsys):

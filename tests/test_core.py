@@ -64,6 +64,22 @@ def test_eval_matches_naive_summation(n):
         assert abs(eval_pm(signs, q) - naive_eval(signs, q)) <= 1e-13 * n
 
 
+def _written_out_eval(signs, q):
+    """Reference: Horner's loop over the signs, written out, times q."""
+    acc = 0.0
+    for s in reversed(signs):
+        acc = acc * q + s
+    return acc * q
+
+
+def test_eval_is_the_written_out_horner_loop():
+    rng = random.Random(39)
+    for _ in range(2000):
+        signs = tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 64)))
+        q = rng.uniform(1e-6, 1.0 - 1e-6)
+        assert eval_pm(signs, q).hex() == _written_out_eval(signs, q).hex(), (signs, q)
+
+
 @pytest.mark.parametrize("bad_q", [0.0, 1.0, -0.2, 1.5, float("nan")])
 def test_eval_rejects_bad_q(bad_q):
     with pytest.raises(DomainError):
@@ -274,15 +290,19 @@ def test_eval_accepts_all_sign_forms():
 
 
 def test_tolerances_declared_only_in_policy_block():
-    # each tolerance literal of the package appears once, as a core constant
+    # every float literal of the package in (0, 0.01) appears once: a core
+    # policy constant, or poly's named Newton stop, which is no tolerance
     policy = {"TOL": 1e-12, "TRACE_TOL_PER_SCOOP": 1e-15, "ROOT_MATCH_WINDOW": 1e-9}
     assert {name: getattr(soupdiv.core, name) for name in policy} == policy
+    assert soupdiv.poly._NEWTON_STOP == 1e-8
     literals = []
     for path in sorted(Path(soupdiv.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Constant) and node.value in policy.values():
-                literals.append((path.name, node.value))
-    assert sorted(literals) == sorted(("core.py", v) for v in policy.values())
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                if 0.0 < node.value < 0.01:
+                    literals.append((path.name, node.value))
+    expected = [("core.py", v) for v in policy.values()] + [("poly.py", 1e-8)]
+    assert sorted(literals) == sorted(expected)
 
 
 def test_package_all_lists_every_public_name():

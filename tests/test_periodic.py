@@ -604,6 +604,25 @@ def test_search_16_needs_no_fallback_bisection(monkeypatch):
     assert fallbacks == []
 
 
+def test_newton_stop_changes_no_root(monkeypatch):
+    # _NEWTON_STOP only says when the estimate stops: a coarse stop names
+    # the wrong cell more often, and the fallback bisection from the
+    # isolating interval returns the same root
+    expected = min_period_search(14)
+    fallbacks = {}
+
+    def recorded(f, lo, hi, tol):
+        fallbacks[stop] += 1
+        return bisect_root(f, lo, hi, tol)
+
+    monkeypatch.setattr(poly, "bisect_root", recorded)
+    for stop in (1e-2, 1e-4, 1e-8, 1e-12):
+        fallbacks[stop] = 0
+        monkeypatch.setattr(poly, "_NEWTON_STOP", stop)
+        assert min_period_search(14) == expected, stop
+    assert fallbacks[1e-2] > fallbacks[1e-4] > 0 == fallbacks[1e-8] == fallbacks[1e-12]
+
+
 def test_fair_period_agrees_with_simulation():
     periods = 50
     n = len(GOLDEN)

@@ -805,6 +805,23 @@ def test_classify_search_equals_enumeration(data, planted, search_degree):
         assert result.root == root
 
 
+def test_classify_root_is_the_bisection_of_the_written_out_loop():
+    # reference: bisection of a written-out Horner loop with eval_pm's factor x
+    for q in _open_window_roots():
+        result = classify(q, search_degree=12)
+        assert result.kind is FeasibilityKind.PERIODIC_FAIR
+        descending = result.pattern[::-1]
+
+        def value(x):
+            acc = 0.0
+            for s in descending:
+                acc = acc * x + s
+            return acc * x
+
+        lo, hi = q - ROOT_MATCH_WINDOW, q + ROOT_MATCH_WINDOW
+        assert result.root == bisect_root(value, lo, hi, TOL), q
+
+
 def test_classify_answers_degree_64():
     q = 0.56
     result = classify(q, search_degree=64)
@@ -851,7 +868,7 @@ _PUBLIC_CALLS = {
 @pytest.mark.parametrize("name", list(_PUBLIC_CALLS))
 def test_public_calls_leave_no_cyclic_garbage(name):
     # garbage that only the cyclic collector frees makes some later call pay
-    # for a collection; cli.run is left out, as argparse's parser is cyclic
+    # for a collection; test_cli checks cli.run the same way
     _divisions()
     gc.collect()
     enabled = gc.isenabled()
