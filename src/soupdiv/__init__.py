@@ -15,101 +15,55 @@ geometric residual) evenly, and numerically checks every bound involved:
 * :mod:`soupdiv.sim` -- physical simulator (column-stored traces), fairness
   reports, classifier;
 * :mod:`soupdiv.cli` -- the ``soupdiv`` command.
+
+``import soupdiv`` loads none of them. A public name is looked up in
+``_DEFINED_IN`` on first use (PEP 562): its module is imported then and the
+value is kept in the package namespace, so later reads are plain attribute
+reads, and a ``soupdiv`` process loads only the modules its subcommand runs.
 """
 
-from .approx import (
-    Certificate,
-    CertificateChecks,
-    CertificateError,
-    CertificateFailure,
-    FairDivisionPlan,
-    InequalityCheck,
-    auto_certificate,
-    construct_bounded,
-    covering_ratio,
-    pn_pattern,
-    pn_value,
-    q_infinity,
-    qinf_poly,
-    sqrt3_necessary,
-    verify_certificate,
-)
-from .core import (
-    DomainError,
-    InputError,
-    PMPattern,
-    as_signs,
-    eval_pm,
-    geometric_tail,
-    parse_signs,
-    prefix_diagnostics,
-    signs_to_text,
-)
-from .greedy import INV_SQRT2, geometric_fair_division
-from .periodic import (
-    RootReport,
-    enumerate_balanced,
-    min_period_search,
-    pattern_roots,
-)
-from .sim import (
-    FairnessReport,
-    FeasibilityClass,
-    FeasibilityKind,
-    SimulationTrace,
-    TraceRow,
-    Verdict,
-    classify,
-    fairness_report,
-    greedy_envelope,
-    plan_envelope,
-    simulate,
-    write_trace_csv,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "CertificateChecks",
-    "CertificateError",
-    "CertificateFailure",
-    "DomainError",
-    "FairDivisionPlan",
-    "FairnessReport",
-    "FeasibilityClass",
-    "FeasibilityKind",
-    "INV_SQRT2",
-    "InequalityCheck",
-    "InputError",
-    "PMPattern",
-    "RootReport",
-    "SimulationTrace",
-    "TraceRow",
-    "Verdict",
-    "as_signs",
-    "auto_certificate",
-    "classify",
-    "construct_bounded",
-    "covering_ratio",
-    "enumerate_balanced",
-    "eval_pm",
-    "fairness_report",
-    "geometric_fair_division",
-    "geometric_tail",
-    "greedy_envelope",
-    "min_period_search",
-    "parse_signs",
-    "pattern_roots",
-    "plan_envelope",
-    "pn_pattern",
-    "pn_value",
-    "prefix_diagnostics",
-    "q_infinity",
-    "qinf_poly",
-    "signs_to_text",
-    "simulate",
-    "sqrt3_necessary",
-    "verify_certificate",
-    "write_trace_csv",
-]
+# The public names of each module; ``_DEFINED_IN`` maps a name to its module.
+_EXPORTS = {
+    "approx": (
+        "Certificate", "CertificateChecks", "CertificateError", "CertificateFailure",
+        "FairDivisionPlan", "InequalityCheck", "auto_certificate", "construct_bounded",
+        "covering_ratio", "pn_pattern", "pn_value", "q_infinity", "qinf_poly",
+        "sqrt3_necessary", "verify_certificate",
+    ),
+    "core": (
+        "DomainError", "InputError", "PMPattern", "as_signs", "eval_pm", "geometric_tail",
+        "parse_signs", "prefix_diagnostics", "signs_to_text",
+    ),
+    "greedy": ("INV_SQRT2", "geometric_fair_division"),
+    "periodic": ("RootReport", "enumerate_balanced", "min_period_search", "pattern_roots"),
+    "sim": (
+        "FairnessReport", "FeasibilityClass", "FeasibilityKind", "SimulationTrace", "TraceRow",
+        "Verdict", "classify", "fairness_report", "greedy_envelope", "plan_envelope",
+        "simulate", "write_trace_csv",
+    ),
+}
+_DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+_SUBMODULES = frozenset((*_EXPORTS, "cli", "poly"))
+
+__all__ = sorted(_DEFINED_IN)
+
+
+def __getattr__(name: str):
+    module = _DEFINED_IN.get(name)
+    if module is not None:
+        value = getattr(_import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        # importing a submodule binds it in the package namespace
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

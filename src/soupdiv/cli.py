@@ -12,54 +12,83 @@ path that cannot be read or written.
 
 Reals are printed with 15 significant digits in JSON and 6 in text mode;
 ``qinf`` text output is rounded to the decimals justified by its bisection
-tolerance.
+tolerance. JSON is written by :func:`_json`, which prints what
+``json.dumps(indent=2, sort_keys=True)`` prints for the rounded payload.
+
+A process pays only for what its subcommand runs: each ``_cmd_*`` function
+imports the library modules it calls when it is called, and ``json`` is
+imported only to render a JSON payload. Library modules import each other
+at module level, since an import inside a hot function costs every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
 from functools import cache
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
-from .approx import (
-    Certificate,
-    CertificateFailure,
-    auto_certificate,
-    construct_bounded,
-    q_infinity,
-    qinf_poly,
-    verify_certificate,
-)
 from .core import TOL, DomainError, InputError, PMPattern, prefix_diagnostics
-from .greedy import geometric_fair_division
-from .periodic import min_period_search
-from .sim import FeasibilityKind, classify, simulate, write_trace_csv
+
+if TYPE_CHECKING:
+    from .approx import Certificate, CertificateFailure
 
 # A subcommand's answer: its exit code, and text or a JSON payload.
 Response = tuple[int, Any]
 
 
-def _round_floats(obj: Any) -> Any:
-    """Round every float in a payload to 15 significant digits; a result
-    record (a named tuple) becomes the dict of its fields."""
+# The JSON spellings of the floats that have no JSON number.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj: Any, indent: str, quote: Callable[[str], str]) -> str:
+    """``obj`` as the text ``json.dumps(obj, indent=2, sort_keys=True)``
+    writes after each float is rounded to 15 significant digits and each
+    result record (a named tuple) becomes the dict of its fields.
+    ``indent`` is the newline and indentation before ``obj``'s closing
+    bracket, and ``quote`` is ``json``'s ASCII string encoder. Dict keys
+    must be strings; a value of any other type raises TypeError.
+
+    A container is one join of its items' texts, so the largest transient
+    is a list of its items' texts and the text they make."""
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
-    if hasattr(obj, "_asdict"):
+        text = float.__repr__(float(f"{obj:.15g}"))
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, str):
+        return quote(obj)
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
         obj = obj._asdict()
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        items = [f"{quote(k)}: {_json(v, inner, quote)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, inner, quote) for v in obj]
+        brackets = "[]"
+    elif obj is None:
+        return "null"
+    elif obj is True:
+        return "true"
+    elif obj is False:
+        return "false"
+    elif isinstance(obj, int):
+        return int.__repr__(obj)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += indent + brackets[1]
+    return ("," + inner).join(items)
 
 
 def _dump_json(payload: Any) -> str:
-    return json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n"
+    from json.encoder import encode_basestring_ascii
+
+    return _json(payload, "\n", encode_basestring_ascii) + "\n"
 
 
 def _txt(x: float) -> str:
@@ -68,6 +97,8 @@ def _txt(x: float) -> str:
 
 def _certificate(args: argparse.Namespace) -> Union[Certificate, CertificateFailure]:
     """Verify the certificate at ``--N`` when given, else search for one."""
+    from .approx import auto_certificate, verify_certificate
+
     if args.N is not None:
         return verify_certificate(args.q, args.N)
     return auto_certificate(args.q)
@@ -108,7 +139,7 @@ def _load_signs(value: str) -> str:
     if is_file:
         chars = []
         try:
-            with open(value, "r", encoding="utf-8") as fh:
+            with open(value, "r", encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     token = line.strip()
                     if not token:
@@ -125,6 +156,8 @@ def _load_signs(value: str) -> str:
 
 
 def _cmd_qinf(args: argparse.Namespace) -> Response:
+    from .approx import q_infinity, qinf_poly
+
     root = q_infinity(args.tol)
     if args.format == "json":
         return 0, {"q_inf": root, "tol": args.tol, "poly_residual": qinf_poly(root)}
@@ -133,6 +166,8 @@ def _cmd_qinf(args: argparse.Namespace) -> Response:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Response:
+    from .sim import FeasibilityKind, classify
+
     result = classify(args.q, search_degree=args.search_degree)
     code = 1 if result.kind in (FeasibilityKind.INFEASIBLE, FeasibilityKind.UNKNOWN) else 0
     payload: dict[str, Any] = {"class": result.kind.value, "q": args.q}
@@ -151,6 +186,8 @@ def _cmd_classify(args: argparse.Namespace) -> Response:
 
 
 def _cmd_greedy(args: argparse.Namespace) -> Response:
+    from .greedy import geometric_fair_division
+
     seq = geometric_fair_division(args.q, args.scoops)
     if args.format == "text":
         return 0, seq.to_text() + "\n"
@@ -166,6 +203,8 @@ def _cmd_greedy(args: argparse.Namespace) -> Response:
 
 
 def _cmd_periodic_search(args: argparse.Namespace) -> Response:
+    from .periodic import min_period_search
+
     results = min_period_search(args.max_degree)
     rows = []
     for degree in sorted(results):
@@ -189,6 +228,8 @@ def _cmd_periodic_search(args: argparse.Namespace) -> Response:
 
 
 def _cmd_certify(args: argparse.Namespace) -> Response:
+    from .approx import CertificateFailure
+
     cert = _certificate(args)
     if isinstance(cert, CertificateFailure):
         return _failure(cert, args)
@@ -198,6 +239,8 @@ def _cmd_certify(args: argparse.Namespace) -> Response:
 
 
 def _cmd_construct(args: argparse.Namespace) -> Response:
+    from .approx import CertificateFailure, construct_bounded
+
     cert = _certificate(args)
     if isinstance(cert, CertificateFailure):
         return _failure(cert, args)
@@ -217,6 +260,8 @@ def _cmd_construct(args: argparse.Namespace) -> Response:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Response:
+    from .sim import simulate, write_trace_csv
+
     trace = simulate(args.q, _load_signs(args.signs))
     if args.format == "json":
         final = trace.final

@@ -49,7 +49,7 @@ from .core import TOL, DomainError, InputError, PMPattern, _horner, as_signs
 from .poly import unit_interval_roots
 
 # Largest degree min_period_search screens: 66,196 balanced patterns
-# through degree 18 (0.45 s, or 1.0 s for `periodic-search` with its JSON
+# through degree 18 (0.4 s, or 0.7 s for `periodic-search` with its JSON
 # output, on one Xeon core with Python 3.11), 250,952 through 20.
 MAX_SEARCH_DEGREE = 18
 

@@ -43,7 +43,6 @@ checks; without one the answer is honestly Unknown.
 
 from __future__ import annotations
 
-import csv
 import enum
 import operator
 from array import array
@@ -365,14 +364,48 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     return FeasibilityClass(kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root)
 
 
+def _run_start(column: array) -> int:
+    """Start of the run of bit-identical values that ends ``column``. It is
+    looked for where the last value first occurs, which is where a
+    nondecreasing column such as a plate total starts it; ``len(column)``
+    when the run does not start there."""
+    n = len(column)
+    try:
+        i = column.index(column[-1]) if n else 0
+    except ValueError:  # a NaN equals nothing, itself included
+        return n
+    return i if column[i:].tobytes() == column[-1:].tobytes() * (n - i) else n
+
+
+def _trace_lines(trace: SimulationTrace) -> Iterator[str]:
+    plus, minus, signs = trace.stuff2_plus, trace.stuff2_minus, trace.signs
+    settled = max(_run_start(plus), _run_start(minus))
+    rows = zip(count(1), signs, accumulate(signs))
+    # before the columns settle, a plate keeps its total while the other
+    # plate takes scoops, so a total's text is reused until it changes; a
+    # zero is formatted anew, since 0.0 and -0.0 compare equal but print as
+    # 0 and -0
+    last_plus = last_minus = None
+    for (k, s, d), plus2, minus2 in zip(islice(rows, settled), plus, minus):
+        if plus2 != last_plus or not plus2:
+            last_plus, plus_text = plus2, f"{plus2:.15g}"
+        if minus2 != last_minus or not minus2:
+            last_minus, minus_text = minus2, f"{minus2:.15g}"
+        yield (f"{k},{s},{(k + d) // 2},{(k - d) // 2},{plus_text},{minus_text},{d},"
+               f"{plus2 - minus2:.15g}\n")
+    if settled < len(signs):
+        plates = f"{plus[-1]:.15g},{minus[-1]:.15g}"
+        imbalance2 = f"{plus[-1] - minus[-1]:.15g}"
+        for k, s, d in rows:
+            yield f"{k},{s},{(k + d) // 2},{(k - d) // 2},{plates},{d},{imbalance2}\n"
+
+
 def write_trace_csv(trace: SimulationTrace, stream: IO[str]) -> None:
-    """Write the trace in the documented CSV schema (one row per scoop)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("i", *TraceRow._fields[1:]))
-    writer.writerows(
-        (k, s, (k + d) // 2, (k - d) // 2, f"{plus2:.15g}", f"{minus2:.15g}", d,
-         f"{plus2 - minus2:.15g}")
-        for k, s, d, plus2, minus2 in zip(
-            count(1), trace.signs, accumulate(trace.signs), trace.stuff2_plus, trace.stuff2_minus
-        )
-    )
+    """Write the trace in the documented CSV schema (one row per scoop),
+    1024 lines per ``stream.write``. Reals have 15 significant digits. Each
+    run of equal plate totals is formatted once, and the settled rows
+    repeat their settled texts."""
+    stream.write(",".join(("i", *TraceRow._fields[1:])) + "\n")
+    lines = _trace_lines(trace)
+    while chunk := "".join(islice(lines, 1024)):
+        stream.write(chunk)

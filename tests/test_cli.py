@@ -5,16 +5,19 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import soupdiv
 import soupdiv.core as core
 import soupdiv.periodic as periodic
-from soupdiv.cli import run
+from soupdiv.cli import _dump_json, run
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -326,6 +329,19 @@ def test_simulate_checks_each_sign_once(tmp_path, monkeypatch, capsys):
         assert checked == [("parse_signs", count)]
 
 
+def test_simulate_sign_file_with_bom_and_crlf(tmp_path, capsys):
+    # editors on some systems save UTF-8 with a byte-order mark and CRLF ends
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"+\n-1\n\xe2\x88\x92\n+1\n")
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf+\r\n-1\r\n\xe2\x88\x92\r\n+1\r\n")
+    code_plain, out_plain, _ = invoke(capsys, "simulate", "--q", "0.6", "--signs", str(plain))
+    code_bom, out_bom, err = invoke(capsys, "simulate", "--q", "0.6", "--signs", str(bom))
+    assert code_plain == code_bom == 0, err
+    assert out_bom == out_plain
+    assert out_plain.splitlines()[1].startswith("1,1,")
+
+
 def test_simulate_empty_sign_file(tmp_path, capsys):
     sign_file = tmp_path / "signs.txt"
     sign_file.write_text("\n\n", encoding="utf-8")
@@ -363,18 +379,61 @@ def test_unusable_paths_exit_two(tmp_path, monkeypatch, capsys, argv, message):
     assert err.startswith("soupdiv: error: ") and message in err, err
 
 
+def child_env():
+    return {**os.environ, "PYTHONPATH": str(Path(soupdiv.__file__).resolve().parent.parent)}
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # every soupdiv process pays for what the package imports
     probe = (
         "import sys, soupdiv, soupdiv.cli; "
         "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
-    src = str(Path(soupdiv.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe], env=child_env(), capture_output=True, text=True,
+        check=True,
     )
     assert result.stdout == "[]\n"
+
+
+# Prints the soupdiv, json and csv modules that a child has loaded after
+# ``import soupdiv, soupdiv.cli`` and, when it has an argv, one run of it.
+_CENSUS = (
+    "import sys, soupdiv, soupdiv.cli\n"
+    "if sys.argv[1:]:\n"
+    "    soupdiv.cli.run(sys.argv[1:])\n"
+    "print(*(m for m in sys.modules if m.split('.')[0] in ('soupdiv', 'json', 'csv')),\n"
+    "      file=sys.stderr)\n"
+)
+
+
+def loaded_modules(*argv):
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _CENSUS, *argv],
+        env=child_env(), capture_output=True, text=True, check=True,
+    )
+    return set(result.stderr.split())
+
+
+def test_import_loads_only_the_command_line():
+    assert loaded_modules() == {"soupdiv", "soupdiv.cli", "soupdiv.core"}
+
+
+def test_package_imports_a_module_on_its_first_read():
+    # as when the package imported every module up front
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import soupdiv; print(soupdiv.periodic.__name__)"],
+        env=child_env(), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "soupdiv.periodic\n"
+
+
+def test_subcommands_load_only_what_they_run():
+    assert not {"soupdiv.sim", "soupdiv.periodic", "soupdiv.greedy"} & loaded_modules("qinf")
+    greedy_text = loaded_modules("greedy", "--q", "0.75", "--scoops", "10", "--format", "text")
+    assert not {
+        "soupdiv.approx", "soupdiv.sim", "soupdiv.periodic", "soupdiv.poly", "json"
+    } & greedy_text
 
 
 def test_simulate_json_summary(capsys):
@@ -436,12 +495,26 @@ _TEXT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_TEXT_RUNS))
+_JSON_RUNS = {
+    f"{name} json": ([*argv, "--format", "json"], 0)
+    for name, argv in (
+        ("qinf", ["qinf"]),
+        ("classify", ["classify", "--q", "0.5436890126916784"]),
+        ("greedy", ["greedy", "--q", "0.75", "--scoops", "40"]),
+        ("construct", ["construct", "--q", "0.62", "--scoops", "40"]),
+        ("certify", ["certify", "--q", "0.62"]),
+        ("periodic-search", ["periodic-search", "--max-degree", "8"]),
+        ("simulate", ["simulate", "--q", "0.75", "--signs", "+--+"]),
+    )
+}
+
+
+@pytest.mark.parametrize("name", [*_TEXT_RUNS, *_JSON_RUNS])
 def test_run_leaves_no_cyclic_garbage(capsys, name):
     # the parser is built once per process, so after a first call a run
-    # leaves nothing for the cyclic collector; JSON output (the encoder's
-    # closures) and usage errors still do, and are not checked here
-    argv, expected_code = _TEXT_RUNS[name]
+    # leaves nothing for the cyclic collector, in either output format;
+    # usage errors still do (argparse's exit path), and are not checked here
+    argv, expected_code = {**_TEXT_RUNS, **_JSON_RUNS}[name]
     run(argv)
     gc.collect()
     enabled = gc.isenabled()
@@ -530,6 +603,66 @@ def test_outputs_match_golden_bytes(capsys, argv, golden, expected_code):
     assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
+# One golden per subcommand, run in a fresh ``python -m soupdiv.cli``: in
+# this process every module is loaded already, so a missing import in a
+# subcommand shows only in a child.
+_FRESH_GOLDENS = (
+    "qinf.json", "classify_q0.56.txt", "greedy_q0.75_scoops10.json", "periodic_search_8.txt",
+    "certify_q0.55.json", "construct_q0.62_scoops12.json", "simulate_q0.6.csv",
+)
+
+
+_FRESH_CASES = [case for case in GOLDEN_CASES if case[1] in _FRESH_GOLDENS]
+
+
+@pytest.mark.parametrize(
+    "argv, golden, expected_code", _FRESH_CASES, ids=[case[1] for case in _FRESH_CASES]
+)
+def test_fresh_process_matches_golden_bytes(argv, golden, expected_code):
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "soupdiv.cli", *argv],
+        env=child_env(), capture_output=True, check=False,
+    )
+    assert (result.returncode, result.stdout) == (
+        expected_code, (GOLDEN_DIR / golden).read_bytes()
+    ), result.stderr
+
+
+# SHA-256 of outputs at workload sizes: a 4,295-block construct, 10^4 greedy
+# scoops, 5,736 periodic-search rows and a seeded 5,000-scoop trace
+WORKLOAD_DIGESTS = {
+    "construct": (
+        ["construct", "--q", "0.823452", "--scoops", "8588", "--format", "json"],
+        "93f002529961d9e23f1d5beeb2d2a235962eda8bb7b146a20d2cb278408fb734",
+    ),
+    "greedy": (
+        ["greedy", "--q", "0.99", "--scoops", "10000", "--format", "json"],
+        "ac4fa9c2c62bfa99af3d66ff426bb6a328e669d16daf64adaf63be7218c4b44d",
+    ),
+    "periodic-search": (
+        ["periodic-search", "--max-degree", "16", "--format", "json"],
+        "38447b61e94f70b86b0cd918355bd2a84fc5201d74682bdd373b649a6df4bb98",
+    ),
+    "simulate": (
+        ["simulate", "--q", "0.9", "--signs"],
+        "f3af3aca0d90ad2198a760f831543266930720948681120f73358ff7073379cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_DIGESTS))
+def test_workload_size_outputs_are_pinned(tmp_path, capsys, name):
+    argv, digest = WORKLOAD_DIGESTS[name]
+    if name == "simulate":
+        rng = random.Random(5000)
+        sign_file = tmp_path / "signs.txt"
+        sign_file.write_text("".join(rng.choice("+-") + "\n" for _ in range(5000)))
+        argv = [*argv, str(sign_file)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_json_round_trips(capsys):
     for argv in (
         ["classify", "--q", "0.6"],
@@ -540,3 +673,53 @@ def test_json_round_trips(capsys):
     ):
         _, out, _ = invoke(capsys, *argv)
         assert json.dumps(json.loads(out)) == json.dumps(json.loads(out))
+
+
+def round_floats(obj):
+    """Every float of a payload rounded to 15 significant digits, and each
+    named tuple as the dict of its fields: the CLI's JSON rendering before
+    it wrote JSON itself, when it handed this to ``json.dumps``."""
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+class Record(NamedTuple):
+    value: Any
+    other: Any
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from([
+    0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e16, -1.2345678901234567e16, 9.999999999999999e15,
+    123456789012345.67, 0.1 + 0.2, math.nan, math.inf, -math.inf,
+])
+_JSON_TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\u2212+-", "\"\\/", "\ud83c\udf72"])
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | _JSON_FLOATS | _JSON_TEXT
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_JSON_TEXT, children, max_size=4)
+        | st.builds(Record, children, children)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_rendering_matches_json_dumps(payload):
+    assert _dump_json(payload) == json.dumps(round_floats(payload), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{1, 2}, b"+-", object(), {"a": [complex(1, 2)]}, {1: 2}])
+def test_json_rendering_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        _dump_json(payload)

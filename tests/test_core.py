@@ -1,6 +1,7 @@
 """Core types and evaluation against naive term-by-term oracles."""
 
 import ast
+import importlib
 import math
 import random
 import re
@@ -306,13 +307,25 @@ def test_tolerances_declared_only_in_policy_block():
 
 
 def test_package_all_lists_every_public_name():
+    # the package resolves each name on first use from the module its table
+    # names, which must define it, and binds nothing public beyond __all__
     exported = soupdiv.__all__
-    assert exported == sorted(set(exported))
+    assert exported == sorted(set(exported)) == sorted(soupdiv._DEFINED_IN)
+    listed = dir(soupdiv)
+    for name in exported:
+        module = importlib.import_module(f"soupdiv.{soupdiv._DEFINED_IN[name]}")
+        value = getattr(soupdiv, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+        assert vars(soupdiv)[name] is value, name
+        assert name in listed, name
     bound = {
         name for name, value in vars(soupdiv).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(exported) == bound
+    with pytest.raises(AttributeError, match="'soupdiv' has no attribute 'no_such_name'"):
+        soupdiv.no_such_name  # noqa: B018
 
 
 def test_bisect_root_brackets():

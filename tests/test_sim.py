@@ -22,6 +22,7 @@ from soupdiv import (
     InputError,
     PMPattern,
     SimulationTrace,
+    TraceRow,
     Verdict,
     auto_certificate,
     classify,
@@ -154,6 +155,77 @@ def test_simulate_conservation_property(q, signs, data):
     stream = io.StringIO()
     write_trace_csv(trace, stream)
     assert stream.getvalue() == reference_csv
+
+
+def csv_writer_reference(trace):
+    """The trace's CSV through ``csv.writer``, from its rows: the schema's
+    fields, reals with 15 significant digits."""
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("i", *TraceRow._fields[1:]))
+    writer.writerows(
+        (row.index, row.sign, row.stuff1_plus, row.stuff1_minus, f"{row.stuff2_plus:.15g}",
+         f"{row.stuff2_minus:.15g}", row.imbalance1, f"{row.imbalance2:.15g}")
+        for row in trace
+    )
+    return stream.getvalue()
+
+
+def trace_csv(trace):
+    stream = io.StringIO()
+    write_trace_csv(trace, stream)
+    return stream.getvalue()
+
+
+_SEEDED_SIGNS = tuple(random.Random(3207).choices((1, -1), k=3207))
+
+
+@pytest.mark.parametrize(
+    "q, signs",
+    [
+        (0.74652, _SEEDED_SIGNS),
+        (1 - 1e-7, _SEEDED_SIGNS),
+        (0.7, (1,)),
+        (0.9, (1,) * 3207),
+    ],
+    ids=["settles early", "never settles", "one scoop", "all plus"],
+)
+def test_write_trace_csv_matches_csv_writer(q, signs):
+    trace = simulate(q, signs)
+    assert trace_csv(trace) == csv_writer_reference(trace)
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [
+        ((0.0, -0.0, -0.0), (-0.0, 0.0, 0.0)),
+        ((1.0, 0.0, 1.0), (math.nan, math.nan, math.nan)),
+        ((0.5, math.inf, math.inf), (-0.0, -0.0, -0.0)),
+        ((0.25, 0.25, 0.5), (0.125, 0.375, 0.375)),
+    ],
+    ids=["signed zeros", "nan", "inf", "changes at the end"],
+)
+def test_write_trace_csv_prints_each_value_as_stored(plus, minus):
+    # 0.0 and -0.0 compare equal but print apart, and a NaN equals nothing
+    trace = SimulationTrace(0.5, (1, -1, 1), array("d", plus), array("d", minus))
+    assert trace_csv(trace) == csv_writer_reference(trace)
+    assert trace_csv(SimulationTrace(0.5, (), array("d"), array("d"))).count("\n") == 1
+
+
+def test_write_trace_csv_streams_in_chunks():
+    # the output is written as it is made, through ``write`` alone
+    class Sink:
+        def __init__(self):
+            self.texts = []
+
+        def write(self, text):
+            self.texts.append(text)
+
+    trace = simulate(0.999, _SEEDED_SIGNS * 4)
+    sink = Sink()
+    write_trace_csv(trace, sink)
+    assert "".join(sink.texts) == csv_writer_reference(trace)
+    assert max(map(len, sink.texts)) < len("".join(sink.texts)) / 10
 
 
 def test_simulate_peak_memory_is_columnar():
@@ -854,6 +926,7 @@ _PUBLIC_CALLS = {
     "construct_bounded": lambda: construct_bounded(0.62, 2000),
     "prefix_diagnostics": lambda: prefix_diagnostics(_divisions()[0], 0.75),
     "simulate": lambda: simulate(0.75, _divisions()[0]),
+    "write_trace_csv": lambda: write_trace_csv(simulate(0.75, _divisions()[0]), io.StringIO()),
     "fairness_report greedy envelope": lambda: fairness_report(
         _divisions()[1], greedy_envelope(0.75), 1
     ),
