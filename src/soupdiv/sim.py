@@ -9,27 +9,16 @@ deliveries independently so that identity can be verified rather than
 assumed.
 
 A trace (:class:`SimulationTrace`) holds its rows by column: the signs,
-and after every scoop the surface stuff on each plate, in two stdlib
-arrays of 8 bytes per scoop each. The other fields of the CSV schema
-follow from these, the whole-scoop imbalance being the running sign sum,
-so a :class:`TraceRow` is built only when one is read, by iteration or by
-an integer index; a 10^5-scoop trace takes about 1.5 MiB instead of one
-object per scoop. The deliveries themselves (one dissolved unit, and
-(1-q) * q^(i-1)) are not stored.
-
-The plate columns are computed scoop by scoop only until they settle: the
-loop of :func:`simulate` stops at the first scoop whose delivery would
-change neither plate total. Each later delivery is no larger, since the
-powers of q only shrink and rounding is monotone, so no later scoop moves
-either total; the rest of each plate column repeats its settled total,
-the same bits the full loop stores.
+and the surface stuff on each plate in two stdlib arrays of 8 bytes per
+value, which :func:`simulate` ends where the plate totals settle. The other
+fields of the CSV schema follow from these, the whole-scoop imbalance being
+the running sign sum, so a :class:`TraceRow` is built only when one is
+read; a 10^5-scoop trace keeps its signs and a few KiB of plate totals
+instead of one object per scoop. The deliveries are not stored.
 
 Verdicts of :func:`fairness_report` are observational statements about the
-finite trace, never proofs about the limit. Its walk over the enveloped
-scoops stops as well once no later scoop can fail: some enveloped scoop has
-passed, both plate columns hold their final values, and the final
-|imbalance2| lies within the rounding budget of k scoops; every later
-bound, being >= 0, then holds. Likewise :func:`classify` is
+finite trace, never proofs about the limit, and its walk over the enveloped
+scoops stops once no later scoop can fail. Likewise :func:`classify` is
 threshold-driven: below 1/2 no fair division exists, above 1/sqrt(2) the
 greedy pairing works, above the quartic threshold (about 0.5845751) a
 covering certificate works. In the remaining window it asks one question:
@@ -48,7 +37,7 @@ import operator
 from array import array
 from bisect import bisect_left
 from functools import partial
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, count, islice, repeat
 from typing import IO, Callable, Iterator, NamedTuple, Optional
 
 from .approx import Q_INF, Certificate, FairDivisionPlan, auto_certificate
@@ -73,17 +62,23 @@ class TraceRow(NamedTuple):
     imbalance2: float
 
 
+_new_row = partial(tuple.__new__, TraceRow)  # a row from its fields' tuple
+
+
 def _row(k: int, s: int, d: int, plus2: float, minus2: float) -> TraceRow:
     # k scoops split as (k + d)/2 and (k - d)/2, and k, d share parity.
-    return TraceRow(k, s, (k + d) // 2, (k - d) // 2, plus2, minus2, d, plus2 - minus2)
+    return _new_row((k, s, (k + d) // 2, (k - d) // 2, plus2, minus2, d, plus2 - minus2))
 
 
 class SimulationTrace:
     """A simulated run, stored by column, whose rows are :class:`TraceRow`,
-    one per scoop. After scoop k (1-based) the surface stuff on the plates
-    is ``stuff2_plus[k-1]`` and ``stuff2_minus[k-1]``, and the whole-scoop
-    imbalance is the sum of the first k signs. Every other row field
-    follows from these, so a row is built only when it is read.
+    one per scoop. After scoop k (1-based) the whole-scoop imbalance is the
+    sum of the first k signs, and the surface stuff on each plate is the
+    value at k - 1 in its column, ``stuff2_plus`` or ``stuff2_minus``, or
+    the column's last value once the column has ended: :func:`simulate`
+    ends both where the plate totals settle, and a column holds at least
+    one value when there are signs. Every other row field follows from
+    these, so a row is built only when it is read.
 
     The reads are ``len``, iteration, which makes one pass over the
     columns, and ``trace[k]`` for an integer k (negative from the end),
@@ -105,12 +100,14 @@ class SimulationTrace:
 
     def __getitem__(self, i: int) -> TraceRow:
         k = range(len(self))[operator.index(i)]
-        return _row(k + 1, self.signs[k], sum(islice(self.signs, k + 1)), self.stuff2_plus[k],
-                    self.stuff2_minus[k])
+        plus, minus = self.stuff2_plus, self.stuff2_minus
+        return _row(k + 1, self.signs[k], sum(islice(self.signs, k + 1)),
+                    plus[min(k, len(plus) - 1)], minus[min(k, len(minus) - 1)])
 
     def __iter__(self) -> Iterator[TraceRow]:
-        signs = self.signs
-        return map(_row, count(1), signs, accumulate(signs), self.stuff2_plus, self.stuff2_minus)
+        signs, n = self.signs, len(self)
+        return map(_row, count(1), signs, accumulate(signs), _padded(self.stuff2_plus, n),
+                   _padded(self.stuff2_minus, n))
 
     @property
     def rows(self) -> "SimulationTrace":
@@ -122,14 +119,9 @@ class SimulationTrace:
         return self[-1]
 
 
-def _settled_column(head: array, total: float, n: int) -> array:
-    """``head`` continued to n scoops by its settled ``total``, allocated at
-    full length once."""
-    if len(head) == n:
-        return head
-    column = array("d", (total,)) * n
-    column[: len(head)] = head
-    return column
+def _padded(column: array, n: int) -> Iterator[float]:
+    """A plate column's values for n scoops, its last value past its end."""
+    return chain(column, repeat(column[-1], n - len(column))) if column else iter(column)
 
 
 def simulate(q: float, signs: Signs) -> SimulationTrace:
@@ -140,12 +132,13 @@ def simulate(q: float, signs: Signs) -> SimulationTrace:
     stored columns depend on that order down to the last bit, up to the
     first scoop whose delivery d leaves both totals as they are
     (``plus2 + d == plus2`` and ``minus2 + d == minus2``). There the loop
-    stops: later deliveries are no larger and rounding is monotone, so both
-    plates keep their totals to the end, and the rest of each column
-    repeats them. Both plates are tested, since a plate at 0.0 absorbs any
-    delivery that has not underflowed. The trace keeps the checked signs
-    as its sign column, from which it derives the sign sums: the given
-    object itself when it is a ``PMPattern`` or a tuple of int +1/-1.
+    stops, and both columns end at the scoop before: later deliveries are
+    no larger and rounding is monotone, so both plates keep their totals to
+    the end, which the trace reads past its columns. Both plates are
+    tested, since a plate at 0.0 absorbs any delivery that has not
+    underflowed. The trace keeps the checked signs as its sign column, from
+    which it derives the sign sums: the given object itself when it is a
+    ``PMPattern`` or a tuple of int +1/-1.
     """
     require_unit_open(q)
     sign_tuple = as_signs(signs)
@@ -166,9 +159,7 @@ def simulate(q: float, signs: Signs) -> SimulationTrace:
             minus2 += delivered2
         stuff2_plus.append(plus2)
         stuff2_minus.append(minus2)
-    n = len(sign_tuple)
-    return SimulationTrace(q, sign_tuple, _settled_column(stuff2_plus, plus2, n),
-                           _settled_column(stuff2_minus, minus2, n))
+    return SimulationTrace(q, sign_tuple, stuff2_plus, stuff2_minus)
 
 
 class Verdict(enum.Enum):
@@ -249,8 +240,8 @@ def fairness_report(
     an envelope must not rely on being called there.
 
     The exit point is the first scoop k at which some enveloped scoop has
-    passed, both plate columns hold their final values (as in every trace
-    of :func:`simulate`, whose plate columns never decrease), and
+    passed, both plates hold their final totals (as in every trace of
+    :func:`simulate`, whose plate totals never decrease), and
     |final imbalance2| <= k * ``core.TRACE_TOL_PER_SCOOP``. From there on
     |imbalance2| is |final imbalance2|, and any later bound b >= 0 at k' >= k
     passes, since rounding is monotone: b + k' * tol >= k' * tol >= k * tol.
@@ -279,7 +270,7 @@ def fairness_report(
         settled = 1 + max(plus.index(plus[-1]), minus.index(minus[-1]))
         abs_final2 = abs(final2)
         fits = None  # no enveloped scoop yet
-        for k, plus2, minus2 in zip(count(1), plus, minus):
+        for k, plus2, minus2 in zip(count(1), _padded(plus, n), _padded(minus, n)):
             if fits and k >= settled and abs_final2 <= k * TRACE_TOL_PER_SCOOP:
                 break
             bound = envelope(k)
@@ -364,29 +355,17 @@ def classify(q: float, search_degree: int = 12) -> FeasibilityClass:
     return FeasibilityClass(kind=FeasibilityKind.PERIODIC_FAIR, pattern=pattern, root=root)
 
 
-def _run_start(column: array) -> int:
-    """Start of the run of bit-identical values that ends ``column``. It is
-    looked for where the last value first occurs, which is where a
-    nondecreasing column such as a plate total starts it; ``len(column)``
-    when the run does not start there."""
-    n = len(column)
-    try:
-        i = column.index(column[-1]) if n else 0
-    except ValueError:  # a NaN equals nothing, itself included
-        return n
-    return i if column[i:].tobytes() == column[-1:].tobytes() * (n - i) else n
-
-
 def _trace_lines(trace: SimulationTrace) -> Iterator[str]:
     plus, minus, signs = trace.stuff2_plus, trace.stuff2_minus, trace.signs
-    settled = max(_run_start(plus), _run_start(minus))
+    settled = max(len(plus), len(minus))
     rows = zip(count(1), signs, accumulate(signs))
     # before the columns settle, a plate keeps its total while the other
     # plate takes scoops, so a total's text is reused until it changes; a
     # zero is formatted anew, since 0.0 and -0.0 compare equal but print as
     # 0 and -0
     last_plus = last_minus = None
-    for (k, s, d), plus2, minus2 in zip(islice(rows, settled), plus, minus):
+    for (k, s, d), plus2, minus2 in zip(islice(rows, settled), _padded(plus, settled),
+                                        _padded(minus, settled)):
         if plus2 != last_plus or not plus2:
             last_plus, plus_text = plus2, f"{plus2:.15g}"
         if minus2 != last_minus or not minus2:
@@ -403,8 +382,8 @@ def _trace_lines(trace: SimulationTrace) -> Iterator[str]:
 def write_trace_csv(trace: SimulationTrace, stream: IO[str]) -> None:
     """Write the trace in the documented CSV schema (one row per scoop),
     1024 lines per ``stream.write``. Reals have 15 significant digits. Each
-    run of equal plate totals is formatted once, and the settled rows
-    repeat their settled texts."""
+    run of equal plate totals is formatted once, and the rows past the
+    plate columns repeat the texts of their last values."""
     stream.write(",".join(("i", *TraceRow._fields[1:])) + "\n")
     lines = _trace_lines(trace)
     while chunk := "".join(islice(lines, 1024)):

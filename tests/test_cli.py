@@ -1,5 +1,6 @@
 """Command-line behavior: output schemas, exit codes, determinism."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -513,7 +514,7 @@ _JSON_RUNS = {
 def test_run_leaves_no_cyclic_garbage(capsys, name):
     # the parser is built once per process, so after a first call a run
     # leaves nothing for the cyclic collector, in either output format;
-    # usage errors still do (argparse's exit path), and are not checked here
+    # usage errors leave argparse's formatter cycle, checked below
     argv, expected_code = {**_TEXT_RUNS, **_JSON_RUNS}[name]
     run(argv)
     gc.collect()
@@ -526,6 +527,70 @@ def test_run_leaves_no_cyclic_garbage(capsys, name):
         if enabled:
             gc.enable()
     capsys.readouterr()
+
+
+_TOP_USAGE = (
+    "usage: soupdiv [-h]\n"
+    "               {qinf,classify,greedy,periodic-search,certify,construct,simulate}\n"
+    "               ...\n"
+)
+_CLASSIFY_USAGE = (
+    "usage: soupdiv classify [-h] --q Q [--search-degree SEARCH_DEGREE]\n"
+    "                        [--format {json,text}] [--out OUT]\n"
+)
+_USAGE_ERRORS = {
+    "bad value": (["classify", "--q", "zzz"], _CLASSIFY_USAGE, "soupdiv classify"),
+    "missing option": (["classify"], _CLASSIFY_USAGE, "soupdiv classify"),
+    "unknown option": (["classify", "--q", "0.4", "--bogus"], _TOP_USAGE, "soupdiv"),
+    "no subcommand": ([], _TOP_USAGE, "soupdiv"),
+    "unknown subcommand": (["nope"], _TOP_USAGE, "soupdiv"),
+    "bad choice": (
+        ["greedy", "--q", "0.75", "--scoops", "4", "--format", "xml"],
+        "usage: soupdiv greedy [-h] --q Q --scoops SCOOPS [--format {json,text}]\n"
+        "                      [--out OUT]\n",
+        "soupdiv greedy",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _USAGE_ERRORS)
+def test_usage_errors_leave_only_the_formatter_cycle(capsys, monkeypatch, name):
+    # argparse prints the usage through a HelpFormatter whose root _Section
+    # refers back to it. That cycle is argparse's own: avoiding it would mean
+    # replacing argparse's private usage path, for a few objects that a
+    # usage error, which ends a soupdiv process, leaves once.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, usage, prog = _USAGE_ERRORS[name]
+    run(argv)
+    capsys.readouterr()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(argv) == 2
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(usage + f"{prog}: error: ") and err.count("\n") == usage.count("\n") + 1
+    # everything left is the one formatter and what it holds, at most 6
+    # objects
+    formatters = [o for o in garbage if type(o) is argparse.HelpFormatter]
+    assert len(formatters) == 1 and len(garbage) <= 6, [type(o) for o in garbage]
+    left = {id(o) for o in garbage}
+    held, todo = {id(formatters[0])}, formatters[:]
+    while todo:
+        for o in gc.get_referents(todo.pop()):
+            if id(o) in left and id(o) not in held:
+                held.add(id(o))
+                todo.append(o)
+    assert held == left
 
 
 def test_usage_errors_exit_two(capsys):

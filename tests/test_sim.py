@@ -209,7 +209,11 @@ def test_write_trace_csv_prints_each_value_as_stored(plus, minus):
     # 0.0 and -0.0 compare equal but print apart, and a NaN equals nothing
     trace = SimulationTrace(0.5, (1, -1, 1), array("d", plus), array("d", minus))
     assert trace_csv(trace) == csv_writer_reference(trace)
-    assert trace_csv(SimulationTrace(0.5, (), array("d"), array("d"))).count("\n") == 1
+    # an empty trace has no rows, and its CSV is the header alone
+    empty = SimulationTrace(0.5, (), array("d"), array("d"))
+    assert list(empty) == []
+    assert trace_csv(empty) == csv_writer_reference(empty)
+    assert trace_csv(empty).count("\n") == 1
 
 
 def test_write_trace_csv_streams_in_chunks():
@@ -228,26 +232,82 @@ def test_write_trace_csv_streams_in_chunks():
     assert max(map(len, sink.texts)) < len("".join(sink.texts)) / 10
 
 
+def plate_bytes(rows):
+    """The plate totals that ``rows`` read, as the bytes of two columns."""
+    rows = list(rows)
+    return [array("d", (row[field] for row in rows)).tobytes() for field in (4, 5)]
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [
+        ((0.25,), (0.5,)),
+        ((-0.0,), (0.0, -0.0)),
+        ((math.nan, 0.75), (0.25,)),
+    ],
+    ids=["one value", "signed zeros", "nan in the head"],
+)
+def test_short_plate_columns_read_their_last_value(plus, minus):
+    # every scoop past a column's end has the column's last value, in every
+    # read, as in the trace whose columns are written out to full length
+    signs = (1, -1, 1)
+    short = SimulationTrace(0.5, signs, array("d", plus), array("d", minus))
+    columns = [array("d", c + c[-1:] * (len(signs) - len(c))) for c in (plus, minus)]
+    full = SimulationTrace(0.5, signs, *columns)
+    expected = [column.tobytes() for column in columns]
+    assert plate_bytes(short) == expected
+    assert plate_bytes(short[k] for k in range(3)) == expected
+    assert plate_bytes(short[k] for k in range(-3, 0)) == expected
+    assert plate_bytes([short.final]) == plate_bytes([full[-1]])
+    assert repr(list(short)) == repr(list(full))
+    assert trace_csv(short) == csv_writer_reference(short) == trace_csv(full)
+    # an envelope at the last scoop reads the plates past both columns
+    final2 = columns[0][-1] - columns[1][-1]
+    for bound in (0.0, 1.0):
+        report = fairness_report(short, {3: bound}.get, 1)
+        assert report == fairness_report(full, {3: bound}.get, 1)
+        fits = abs(final2) <= bound + 3 * TRACE_TOL_PER_SCOOP
+        assert report.verdict is (Verdict.BOUNDED_FAIR_OBSERVED if fits else Verdict.INCONCLUSIVE)
+    assert fairness_report(short) == fairness_report(full)
+
+
+@pytest.mark.parametrize("q, kept", [(0.62, 78), (0.75, 128), (0.99, 3_336), (1 - 1e-7, 100_000)])
+def test_simulate_keeps_the_plate_totals_until_they_settle(q, kept):
+    # 10^5 scoops of the blocks at 0.62 and of the greedy pairing at 0.75,
+    # 0.99 and 1 - 1e-7, where nothing settles
+    if q < INV_SQRT2:
+        seq = construct_bounded(q, 100_000).seq
+    else:
+        seq = geometric_fair_division(q, 100_000)
+    trace = simulate(q, seq)
+    assert len(trace) == 100_000
+    assert (len(trace.stuff2_plus), len(trace.stuff2_minus)) == (kept, kept)
+
+
 def test_simulate_peak_memory_is_columnar():
     # 10^5 scoops: two 8-byte columns plus the sign tuple, not one object
     # per scoop (the row-per-scoop trace peaked at about 30 MiB); at
-    # q = 1 - 1e-7 the plates never settle and every scoop runs the loop
+    # q = 0.75 the plates settle within 128 scoops, and the trace keeps
+    # those alone (full-length columns took 1.53 MiB); at q = 1 - 1e-7 the
+    # plates never settle and every scoop runs the loop
     signs = tuple(geometric_fair_division(0.75, 100_000).signs)
     for q in (0.75, 1 - 1e-7):
         tracemalloc.start()
         try:
             trace = simulate(q, signs)
-            peak = tracemalloc.get_traced_memory()[1]
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(trace) == 100_000
         assert peak <= 5 * 2**20, (q, peak / 2**20)
+        if q == 0.75:
+            assert retained <= 64 * 2**10, retained / 2**10
 
 
 @pytest.mark.parametrize("q", [0.62, 0.75, 1 - 1e-7])
 def test_simulate_allocates_each_plate_column_once(q):
-    # with the settled tail filled in place, the peak is what the trace
-    # keeps plus the scoops run before the plates settle
+    # the columns are kept as the loop grows them, so the peak is what the
+    # trace keeps, within the slack of one column's growth
     if q < INV_SQRT2:
         seq = construct_bounded(q, 100_000).seq
     else:
@@ -284,6 +344,13 @@ def whole_loop_columns(q, signs):
     return imbalance1, stuff2_plus, stuff2_minus
 
 
+@functools.lru_cache(maxsize=1)
+def trace_reference_columns(trace):
+    """``whole_loop_columns`` at a simulated trace's q and signs: the trace's
+    full columns, rebuilt without reading it."""
+    return whole_loop_columns(trace.q, trace.signs)
+
+
 def test_simulate_is_bit_identical_to_the_whole_loop(settle_q, sign_cases):
     q = settle_q
     rng = random.Random(9)
@@ -291,9 +358,13 @@ def test_simulate_is_bit_identical_to_the_whole_loop(settle_q, sign_cases):
         n = len(signs)
         full = [column.tobytes() for column in whole_loop_columns(q, signs)]
         for m in (1, 2, 3, rng.randint(4, 200), rng.randint(201, n), n):
-            trace = simulate(q, signs[:m])
-            sums = array("q", (row.imbalance1 for row in trace))
-            columns = (sums, trace.stuff2_plus, trace.stuff2_minus)
+            # every row's sign sum and plate totals, those read past the
+            # stored plate columns included
+            columns = sums, plus, minus = array("q"), array("d"), array("d")
+            for row in simulate(q, signs[:m]):
+                sums.append(row.imbalance1)
+                plus.append(row.stuff2_plus)
+                minus.append(row.stuff2_minus)
             assert [c.tobytes() for c in columns] == [b[: 8 * m] for b in full], (kind, m)
 
 
@@ -497,9 +568,9 @@ def walk_every_scoop_report(trace, envelope=None, imbalance1_cap=None):
     """fairness_report with one envelope walk over every scoop, whatever
     the divergence test or the cap say: the reference for its early stops."""
     n = len(trace)
-    sums = [row.imbalance1 for row in trace]
+    sums, plus, minus = trace_reference_columns(trace)
     max_abs1 = max(max(sums), -min(sums))
-    final2 = trace.stuff2_plus[-1] - trace.stuff2_minus[-1]
+    final2 = plus[-1] - minus[-1]
     checked = 0
     enveloped_ok = True
     if envelope is not None:
@@ -508,7 +579,7 @@ def walk_every_scoop_report(trace, envelope=None, imbalance1_cap=None):
             if bound is not None:
                 checked += 1
                 budget = k * TRACE_TOL_PER_SCOOP
-                imbalance2 = trace.stuff2_plus[k - 1] - trace.stuff2_minus[k - 1]
+                imbalance2 = plus[k - 1] - minus[k - 1]
                 enveloped_ok = enveloped_ok and abs(imbalance2) <= bound + budget
     if 2 * abs(sums[-1]) >= n:
         verdict = Verdict.DIVERGING
@@ -520,8 +591,8 @@ def walk_every_scoop_report(trace, envelope=None, imbalance1_cap=None):
 
 
 def settled_scoop(trace):
-    """The first scoop from which both plate columns keep their final values."""
-    plus, minus = trace.stuff2_plus, trace.stuff2_minus
+    """The first scoop from which both plate totals keep their final values."""
+    _, plus, minus = trace_reference_columns(trace)
     k = len(trace)
     while k > 1 and plus[k - 2] == plus[-1] and minus[k - 2] == minus[-1]:
         k -= 1
