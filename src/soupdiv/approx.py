@@ -102,10 +102,7 @@ def q_infinity(tol: float = TOL) -> float:
     """Root of the quartic in (0.5, 0.6) by bisection on its exact sign to width <= tol."""
     if not 0.0 < tol < math.inf:
         raise InputError(f"tol must be finite and positive, got {tol!r}")
-    lo, hi = _QINF_BRACKET
-    if not (_QINF_SIGN(lo) < 0 < _QINF_SIGN(hi)):
-        raise RuntimeError("sign bracket for the threshold quartic is broken")
-    return bisect_root(_QINF_SIGN, lo, hi, tol)
+    return bisect_root(_QINF_SIGN, *_QINF_BRACKET, tol)
 
 
 # The threshold itself, computed once at import: the largest double below

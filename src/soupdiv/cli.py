@@ -1,7 +1,9 @@
 """Command-line front end: reproducible, machine-readable access to all modules.
 
-Every subcommand is a function of the parsed arguments that returns
-``(exit_code, output)``: ``output`` is text (or CSV) or a JSON payload.
+Every subcommand is declared once, as a row of :data:`_SUBCOMMANDS` (its
+help line, handler, formats and options), from which :func:`build_parser`
+builds the parser. Its handler is a function of the parsed arguments that
+returns ``(exit_code, output)``: ``output`` is text (or CSV) or a JSON payload.
 :func:`run` is the one place that renders a payload and writes the output to
 stdout (or ``--out``), so a command that raises writes nothing. Numeric
 flags are checked by the library function that uses them, and the same argv
@@ -277,64 +279,52 @@ def _cmd_simulate(args: argparse.Namespace) -> Response:
     return 0, buf.getvalue()
 
 
+# An option: its flag and its ``add_argument`` keywords.
+_Option = tuple[str, dict[str, Any]]
+_Q = ("--q", {"type": float, "required": True})
+_SCOOPS = ("--scoops", {"type": int, "required": True})
+_N = ("--N", {"type": int, "default": None})
+_SIGNS = ("--signs", {"required": True, "help": "inline +/- string or path to a sign file"})
+
+# Every subcommand, in the order ``soupdiv --help`` lists them: its help line,
+# its handler, its default and allowed ``--format`` values, and the options
+# that come before ``--format`` and ``--out``.
+_SUBCOMMANDS: dict[
+    str, tuple[str, Callable[..., Response], str, tuple[str, ...], tuple[_Option, ...]]
+] = {
+    "qinf": ("bisect the certificate-threshold quartic", _cmd_qinf, "text", ("json", "text"),
+             (("--tol", {"type": float, "default": TOL}),)),
+    "classify": ("place q into the known feasibility regimes", _cmd_classify, "json",
+                 ("json", "text"), (_Q, ("--search-degree", {"type": int, "default": 12}))),
+    "greedy": ("greedy paired division for q >= 1/sqrt(2)", _cmd_greedy, "json",
+               ("json", "text"), (_Q, _SCOOPS)),
+    "periodic-search": ("exhaustive balanced-pattern root search", _cmd_periodic_search, "json",
+                        ("json", "text"), (("--max-degree", {"type": int, "required": True}),)),
+    "certify": ("verify a covering certificate for q", _cmd_certify, "json", ("json", "text"),
+                (_Q, _N)),
+    "construct": ("build a boundedly fair division from a certificate", _cmd_construct, "json",
+                  ("json", "text"), (_Q, _SCOOPS, _N)),
+    "simulate": ("scoop-by-scoop two-stuff trace", _cmd_simulate, "csv", ("csv", "json"),
+                 (_Q, _SIGNS)),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once: a parser per call is cyclic garbage."""
+    """The parser of :data:`_SUBCOMMANDS`, built once: a parser per call is
+    cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="soupdiv",
         description="Constructions and numerical checks for fair two-plate scoop divisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(
-        p: argparse.ArgumentParser,
-        default_format: str,
-        formats: tuple[str, ...] = ("json", "text"),
-    ) -> None:
+    for name, (summary, func, default_format, formats, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-    p = sub.add_parser("qinf", help="bisect the certificate-threshold quartic")
-    p.add_argument("--tol", type=float, default=TOL)
-    add_common(p, "text")
-    p.set_defaults(func=_cmd_qinf)
-
-    p = sub.add_parser("classify", help="place q into the known feasibility regimes")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--search-degree", type=int, default=12)
-    add_common(p, "json")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("greedy", help="greedy paired division for q >= 1/sqrt(2)")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--scoops", type=int, required=True)
-    add_common(p, "json")
-    p.set_defaults(func=_cmd_greedy)
-
-    p = sub.add_parser("periodic-search", help="exhaustive balanced-pattern root search")
-    p.add_argument("--max-degree", type=int, required=True)
-    add_common(p, "json")
-    p.set_defaults(func=_cmd_periodic_search)
-
-    p = sub.add_parser("certify", help="verify a covering certificate for q")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--N", type=int, default=None)
-    add_common(p, "json")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("construct", help="build a boundedly fair division from a certificate")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--scoops", type=int, required=True)
-    p.add_argument("--N", type=int, default=None)
-    add_common(p, "json")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("simulate", help="scoop-by-scoop two-stuff trace")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--signs", required=True, help="inline +/- string or path to a sign file")
-    add_common(p, "csv", formats=("csv", "json"))
-    p.set_defaults(func=_cmd_simulate)
-
+        p.set_defaults(func=func)
     return parser
 
 

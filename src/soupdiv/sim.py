@@ -33,6 +33,7 @@ checks; without one the answer is honestly Unknown.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from array import array
 from bisect import bisect_left
@@ -77,8 +78,8 @@ class SimulationTrace:
     value at k - 1 in its column, ``stuff2_plus`` or ``stuff2_minus``, or
     the column's last value once the column has ended: :func:`simulate`
     ends both where the plate totals settle, and a column holds at least
-    one value when there are signs. Every other row field follows from
-    these, so a row is built only when it is read.
+    one value when there are signs, or InputError is raised. Every other
+    row field follows from these, so a row is built only when it is read.
 
     The reads are ``len``, iteration, which makes one pass over the
     columns, and ``trace[k]`` for an integer k (negative from the end),
@@ -90,6 +91,8 @@ class SimulationTrace:
 
     def __init__(self, q: float, signs: tuple[int, ...], stuff2_plus: array,
                  stuff2_minus: array) -> None:
+        if signs and not (stuff2_plus and stuff2_minus):
+            raise InputError("a trace with signs needs at least one value in each plate column")
         self.q = q
         self.signs = signs
         self.stuff2_plus = stuff2_plus  # typecode "d"
@@ -266,9 +269,10 @@ def fairness_report(
         verdict = Verdict.INCONCLUSIVE
     else:
         # the columns never decrease, so each final value's first occurrence
-        # starts its constant tail
-        settled = 1 + max(plus.index(plus[-1]), minus.index(minus[-1]))
+        # starts its constant tail; a NaN final imbalance never meets the
+        # exit test, and ``index`` cannot find a NaN
         abs_final2 = abs(final2)
+        settled = n if math.isnan(final2) else 1 + max(plus.index(plus[-1]), minus.index(minus[-1]))
         fits = None  # no enveloped scoop yet
         for k, plus2, minus2 in zip(count(1), _padded(plus, n), _padded(minus, n)):
             if fits and k >= settled and abs_final2 <= k * TRACE_TOL_PER_SCOOP:

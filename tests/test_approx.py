@@ -28,7 +28,7 @@ from soupdiv import (
     sqrt3_necessary,
     verify_certificate,
 )
-from soupdiv.approx import DEFAULT_N_MAX, Q_INF
+from soupdiv.approx import _QINF_BRACKET, _QINF_SIGN, DEFAULT_N_MAX, Q_INF
 from soupdiv.core import TOL, bisect_root
 
 # frozen from a 200-step exact-rational bisection of x^4 + x^3 + 2x^2 - 1
@@ -120,6 +120,13 @@ def _exact_quartic(x: float) -> Fraction:
 def test_q_inf_is_the_largest_float_below_the_root():
     assert Q_INF == Q_INF_REFERENCE == 0.5845751333644155
     assert _exact_quartic(Q_INF) < 0 < _exact_quartic(math.nextafter(Q_INF, 1.0))
+
+
+def test_q_infinity_bracket_is_a_sign_change():
+    # q_infinity bisects the exact sign over this fixed bracket unchecked
+    lo, hi = _QINF_BRACKET
+    assert _QINF_SIGN(lo) < 0 < _QINF_SIGN(hi)
+    assert _exact_quartic(lo) < 0 < _exact_quartic(hi)
 
 
 def _float_q_infinity(tol: float) -> float:

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import soupdiv
+import soupdiv.cli as cli
 import soupdiv.core as core
 import soupdiv.periodic as periodic
-from soupdiv.cli import _dump_json, run
+from soupdiv.cli import _dump_json, build_parser, run
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -397,6 +398,26 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert result.stdout == "[]\n"
 
 
+# Prints the top-level name of every module a child has loaded after
+# importing all eight soupdiv modules.
+_ALL_MODULES = (
+    "import sys\n"
+    "import soupdiv, soupdiv.approx, soupdiv.cli, soupdiv.core, soupdiv.greedy\n"
+    "import soupdiv.periodic, soupdiv.poly, soupdiv.sim\n"
+    "print(*{m.partition('.')[0] for m in sys.modules})\n"
+)
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependencies, and no module may acquire one
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _ALL_MODULES], env=child_env(), capture_output=True,
+        text=True, check=True,
+    )
+    allowed = {"soupdiv", "__main__", *sys.stdlib_module_names, *sys.builtin_module_names}
+    assert set(result.stdout.split()) - allowed == set()
+
+
 # Prints the soupdiv, json and csv modules that a child has loaded after
 # ``import soupdiv, soupdiv.cli`` and, when it has an argv, one run of it.
 _CENSUS = (
@@ -591,6 +612,29 @@ def test_usage_errors_leave_only_the_formatter_cycle(capsys, monkeypatch, name):
                 held.add(id(o))
                 todo.append(o)
     assert held == left
+
+
+_SUBCOMMAND_NAMES = (
+    "qinf", "classify", "greedy", "periodic-search", "certify", "construct", "simulate",
+)
+
+
+@pytest.mark.parametrize("command", [None, *_SUBCOMMAND_NAMES], ids=["soupdiv", *_SUBCOMMAND_NAMES])
+def test_help_screens_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    golden = f"help_{command}.txt" if command else "help.txt"
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+def test_every_handler_is_reached_by_one_subcommand():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = action.choices
+    assert tuple(parsers) == _SUBCOMMAND_NAMES
+    handlers = [p.get_default("func") for p in parsers.values()]
+    defined = {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
+    assert len(set(handlers)) == len(handlers) and set(handlers) == defined
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,7 +1,11 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, and
+its command-line reference covers every subcommand."""
 
+import argparse
 import re
 from pathlib import Path
+
+from soupdiv.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,10 @@ def test_quick_start_example_runs(capsys):
             assert comment.removeprefix("includes ") in out
         else:
             assert out == comment
+
+
+def test_command_line_headings_name_every_subcommand_in_order():
+    text = README.read_text(encoding="utf-8")
+    headings = re.findall(r"^### `soupdiv ([\w-]+) ", text, re.M)
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert headings == list(action.choices)

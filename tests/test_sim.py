@@ -271,6 +271,25 @@ def test_short_plate_columns_read_their_last_value(plus, minus):
     assert fairness_report(short) == fairness_report(full)
 
 
+@pytest.mark.parametrize(
+    "plus, minus", [((), ()), ((), (0.5,)), ((0.25,), ())], ids=["both", "plus", "minus"]
+)
+def test_trace_with_signs_refuses_an_empty_plate_column(plus, minus):
+    # a row past a column's end reads the column's last value, so a trace
+    # with signs needs one
+    with pytest.raises(InputError, match="at least one value in each plate column"):
+        SimulationTrace(0.5, (1, -1, 1), array("d", plus), array("d", minus))
+
+
+def test_fairness_report_with_a_nan_final_plate_is_inconclusive():
+    # a NaN final imbalance never meets the exit test, so the walk has no
+    # settled scoop to look up, and the NaN fails the envelope at scoop 3
+    trace = SimulationTrace(0.5, (1, -1, 1), array("d", [0.25, math.nan]), array("d", [0.5]))
+    report = fairness_report(trace, {3: 1.0}.get, 1)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.max_abs_imbalance1 == 1 and math.isnan(report.final_imbalance2)
+
+
 @pytest.mark.parametrize("q, kept", [(0.62, 78), (0.75, 128), (0.99, 3_336), (1 - 1e-7, 100_000)])
 def test_simulate_keeps_the_plate_totals_until_they_settle(q, kept):
     # 10^5 scoops of the blocks at 0.62 and of the greedy pairing at 0.75,
